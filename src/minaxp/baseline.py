@@ -36,21 +36,35 @@ def subset_minimal_explanation(
     t_minus, t_plus = clf.t_minus, clf.t_plus
 
     # With every feature pinned both bounds collapse onto the score itself.
+    # Python floats round exactly as numpy float64 scalars do, so the walk
+    # over plain lists keeps the same features.
     smax = pred.score
     smin = pred.score
     kept = []
-    for j in range(profile.n_features):
-        trial_max = smax + profile.delta_minus[j]
-        trial_min = smin - profile.delta_plus[j]
-        if kind is ExplanationKind.POSITIVE:
-            removable = trial_min >= t_plus - eps
-        elif kind is ExplanationKind.NEGATIVE:
-            removable = trial_max <= t_minus + eps
-        else:
-            removable = trial_max <= t_plus + eps and trial_min >= t_minus - eps
-        if removable:
-            smax = trial_max
-            smin = trial_min
-        else:
-            kept.append(j)
-    return Explanation(indices=tuple(kept), kind=kind, certified_minimum=False)
+    if kind is ExplanationKind.POSITIVE:
+        floor = t_plus - eps
+        for j, up in enumerate(profile.delta_plus.tolist()):
+            if smin - up >= floor:
+                smin -= up
+            else:
+                kept.append(j)
+    elif kind is ExplanationKind.NEGATIVE:
+        ceiling = t_minus + eps
+        for j, down in enumerate(profile.delta_minus.tolist()):
+            if smax + down <= ceiling:
+                smax += down
+            else:
+                kept.append(j)
+    else:
+        ceiling = t_plus + eps
+        floor = t_minus - eps
+        gains = zip(profile.delta_minus.tolist(), profile.delta_plus.tolist())
+        for j, (down, up) in enumerate(gains):
+            trial_max = smax + down
+            trial_min = smin - up
+            if trial_max <= ceiling and trial_min >= floor:
+                smax = trial_max
+                smin = trial_min
+            else:
+                kept.append(j)
+    return Explanation(indices=kept, kind=kind, certified_minimum=False)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -285,6 +286,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     bundle = load_model(args.model)
     clf = bundle.classifier()
     data = _load(args.data, args.delimiter, args.label_col, scaling=bundle.scaling)
@@ -313,21 +316,7 @@ def cmd_benchmark(args) -> int:
                     time_limit=args.time_limit,
                 )
                 times.append((time.perf_counter() - start) * 1000.0)
-            records.append(
-                ExplanationRecord(
-                    instance_id=last.instance_id,
-                    label=last.label,
-                    score=last.score,
-                    kind=last.kind,
-                    indices=last.indices,
-                    size=last.size,
-                    certified_minimum=last.certified_minimum,
-                    method=last.method,
-                    time_ms=statistics.median(times),
-                    nodes=last.nodes,
-                    boundary_tight=last.boundary_tight,
-                )
-            )
+            records.append(dataclasses.replace(last, time_ms=statistics.median(times)))
     note = None
     if args.repeats == 1:
         note = "single repeat: per-instance timing spread undefined, medians equal the one sample"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,12 @@ def _normalize_labels(raw: np.ndarray, column: str) -> np.ndarray:
 
 
 def _read_numeric_table(path: Path, delimiter: str) -> tuple[list[str], np.ndarray]:
+    """Header and float matrix of a delimited file, parsed row by row.
+
+    Cells go through Python ``float()``, so surrounding whitespace, ``nan``
+    and digit underscores behave as they do there.  Blank lines are skipped.
+    A failing row is re-read cell by cell to name the offending column.
+    """
     with path.open(newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -111,21 +117,28 @@ def _read_numeric_table(path: Path, delimiter: str) -> tuple[list[str], np.ndarr
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    matrix = np.empty((len(rows), len(header)), dtype=float)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
+        width = len(header)
+        parsed = []
+        for row in reader:
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            line = len(parsed) + 2
+            if len(row) != width:
+                raise ValueError(f"{path}: row {line} has {len(row)} cells, expected {width}")
             try:
-                matrix[i, j] = float(cell)
+                parsed.append(np.fromiter(map(float, row), float, count=width))
             except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} at row {i + 2}, column {header[j]!r}"
-                ) from None
-    return header, matrix
+                for j, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: non-numeric cell {cell!r} at row {line}, column {header[j]!r}"
+                        ) from None
+                raise
+    if not parsed:
+        raise ValueError(f"{path}: no data rows")
+    return header, np.vstack(parsed)
 
 
 def load_feature_matrix(path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...]]:
@@ -226,6 +239,25 @@ def save_model(bundle: ModelBundle, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _model_number(payload: dict, field: str, path: Path, nullable: bool = False):
+    value = payload[field]
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{path}: {field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _model_array(value, field: str, path: Path) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ModelFormatError(f"{path}: {field} is not a rectangular array of numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise ModelFormatError(f"{path}: {field} must hold numbers only")
+    return arr.astype(float)
+
+
 def load_model(path) -> ModelBundle:
     """Read a model bundle, validating presence and consistency of all fields."""
     path = Path(path)
@@ -233,16 +265,20 @@ def load_model(path) -> ModelBundle:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     for field in ("weights", "bias", "t_minus", "t_plus", "domains", "scaling"):
         if field not in payload:
             raise ModelFormatError(f"{path}: missing field {field!r}")
-    weights = np.asarray(payload["weights"], dtype=float)
-    domains = np.asarray(payload["domains"], dtype=float)
+    weights = _model_array(payload["weights"], "weights", path)
+    domains = _model_array(payload["domains"], "domains", path)
     if domains.ndim != 2 or domains.shape != (weights.size, 2):
         raise ModelFormatError(
             f"{path}: domains shape {domains.shape} does not match {weights.size} weights"
         )
-    t_minus, t_plus = payload["t_minus"], payload["t_plus"]
+    bias = _model_number(payload, "bias", path)
+    t_minus = _model_number(payload, "t_minus", path, nullable=True)
+    t_plus = _model_number(payload, "t_plus", path, nullable=True)
     if (t_minus is None) != (t_plus is None):
         raise ModelFormatError(f"{path}: thresholds must both be set or both null")
     if t_minus is not None and not t_minus < t_plus:
@@ -250,23 +286,18 @@ def load_model(path) -> ModelBundle:
     scaling = None
     if payload["scaling"] is not None:
         raw = payload["scaling"]
-        if "mins" not in raw or "maxs" not in raw:
+        if not isinstance(raw, dict) or "mins" not in raw or "maxs" not in raw:
             raise ModelFormatError(f"{path}: scaling must provide mins and maxs")
-        mins = np.asarray(raw["mins"], dtype=float)
-        maxs = np.asarray(raw["maxs"], dtype=float)
+        mins = _model_array(raw["mins"], "scaling mins", path)
+        maxs = _model_array(raw["maxs"], "scaling maxs", path)
         if mins.size != weights.size or maxs.size != weights.size:
             raise ModelFormatError(f"{path}: scaling length does not match weights")
         scaling = ScalingInfo(mins=mins, maxs=maxs)
     try:
-        model = LinearModel(weights, float(payload["bias"]), domains)
+        model = LinearModel(weights, bias, domains)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    return ModelBundle(
-        model=model,
-        t_minus=None if t_minus is None else float(t_minus),
-        t_plus=None if t_plus is None else float(t_plus),
-        scaling=scaling,
-    )
+    return ModelBundle(model=model, t_minus=t_minus, t_plus=t_plus, scaling=scaling)
 
 
 @dataclass(frozen=True)
@@ -327,21 +358,17 @@ def write_explanation_report(
     note: str | None = None,
 ) -> None:
     """Write one JSON record per line plus a trailing aggregate object."""
-    lines = []
-    for record in records:
-        payload = asdict(record)
-        payload["indices"] = list(record.indices)
-        lines.append(json.dumps(payload))
     aggregate = {
-        "aggregate": {
-            "by_group": aggregate_records(records),
-            "skipped_out_of_domain": skipped_out_of_domain,
-        }
+        "by_group": aggregate_records(records),
+        "skipped_out_of_domain": skipped_out_of_domain,
     }
     if note is not None:
-        aggregate["aggregate"]["note"] = note
-    lines.append(json.dumps(aggregate))
-    Path(path).write_text("\n".join(lines) + "\n")
+        aggregate["note"] = note
+    with Path(path).open("w") as fh:
+        for record in records:
+            payload = {field: getattr(record, field) for field in REPORT_RECORD_FIELDS}
+            fh.write(json.dumps(payload) + "\n")
+        fh.write(json.dumps({"aggregate": aggregate}) + "\n")
 
 
 def read_explanation_report(path) -> tuple[list[ExplanationRecord], dict]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .baseline import subset_minimal_explanation
 from .classified import explain_negative, explain_positive
 from .dataio import ExplanationRecord
@@ -21,8 +23,6 @@ from .model import (
     RejectClassifier,
     coefficient_profile,
     predict,
-    s_max,
-    s_min,
 )
 from .rejected import (
     DEFAULT_NODE_LIMIT,
@@ -47,8 +47,10 @@ def boundary_tight(
     arguable under a strict one; reports flag them for inspection.
     """
     profile = coefficient_profile(clf, instance)
-    smax = s_max(profile, explanation.indices)
-    smin = s_min(profile, explanation.indices)
+    # Explanation indices are sorted and unique: the array s_max / s_min build.
+    idx = np.asarray(explanation.indices, dtype=np.intp)
+    smax = float(profile.baseline_max - profile.delta_minus[idx].sum())
+    smin = float(profile.baseline_min + profile.delta_plus[idx].sum())
     if explanation.kind is ExplanationKind.POSITIVE:
         return abs(smin - clf.t_plus) <= eps
     if explanation.kind is ExplanationKind.NEGATIVE:

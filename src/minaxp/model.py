@@ -134,6 +134,20 @@ class LinearModel:
             raise ValueError(
                 f"weights ({w.size}) and domains ({dom.shape[0]}) must have identical length"
             )
+        # Every reachable score lies between the worst-case bounds and every
+        # sum of gains is at most their span: all finite once these three are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_lower, at_upper = w * dom[:, 0], w * dom[:, 1]
+            highs = np.maximum(at_lower, at_upper)
+            lows = np.minimum(at_lower, at_upper)
+            top = self.bias + highs.sum()
+            bottom = self.bias + lows.sum()
+            span = (highs - lows).sum()
+        if not (np.isfinite(top) and np.isfinite(bottom) and np.isfinite(span)):
+            raise ValueError(
+                "worst-case score bounds overflow: "
+                f"max {top}, min {bottom}, span {span}; rescale weights or domains"
+            )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "domains", dom)

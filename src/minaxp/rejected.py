@@ -354,11 +354,11 @@ def _search_pack(
         if c_ru <= budget_up + eps and c_rd <= budget_down + eps:
             c_removed = removed + (j,)
             c_count = count + 1
-            if c_count > best_count and feasible.check(
-                [p for p in range(m) if p not in set(c_removed)]
-            ):
-                best_count = c_count
-                best_removed = list(c_removed)
+            if c_count > best_count:
+                gone = set(c_removed)
+                if feasible.check([p for p in range(m) if p not in gone]):
+                    best_count = c_count
+                    best_removed = list(c_removed)
             if depth + 1 < m:
                 cub = c_count + bounds.bound(depth + 1, budget_up - c_ru, budget_down - c_rd)
                 if cub > best_count:

@@ -1,16 +1,20 @@
 import numpy as np
 
 from minaxp import (
+    DEFAULT_EPSILON,
     ExplanationKind,
     Instance,
     Label,
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
+    coefficient_profile,
     explain_negative,
     explain_positive,
     explain_rejection,
     is_valid_explanation,
+    kind_for_label,
+    predict,
     random_case,
     subset_minimal_explanation,
     unit_box,
@@ -71,3 +75,50 @@ def test_never_smaller_than_certified_minimum():
 def test_deterministic(band_case):
     clf, instance = band_case
     assert subset_minimal_explanation(clf, instance) == subset_minimal_explanation(clf, instance)
+
+
+def _reference_deletion(clf, instance, eps=DEFAULT_EPSILON):
+    """The deletion walk one numpy scalar at a time, with the kind tested per index."""
+    pred = predict(clf, instance, eps)
+    kind = kind_for_label(pred.label)
+    profile = coefficient_profile(clf, instance)
+    smax = smin = pred.score
+    kept = []
+    for j in range(profile.n_features):
+        trial_max = smax + profile.delta_minus[j]
+        trial_min = smin - profile.delta_plus[j]
+        if kind is ExplanationKind.POSITIVE:
+            removable = trial_min >= clf.t_plus - eps
+        elif kind is ExplanationKind.NEGATIVE:
+            removable = trial_max <= clf.t_minus + eps
+        else:
+            removable = trial_max <= clf.t_plus + eps and trial_min >= clf.t_minus - eps
+        if removable:
+            smax, smin = trial_max, trial_min
+        else:
+            kept.append(j)
+    return tuple(kept)
+
+
+def test_matches_the_per_index_reference_walk():
+    rng = np.random.default_rng(23)
+    for i in range(300):
+        n = int(rng.integers(1, 40))
+        label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
+        if i % 2:
+            clf, instance = random_case(rng, n, label)
+        else:
+            # Quarter steps are exact in binary, so bounds land exactly on thresholds.
+            model = LinearModel(rng.integers(-4, 5, n) * 0.5, 0.0, unit_box(n))
+            instance = Instance.validated(model, rng.integers(0, 5, n) * 0.25)
+            score = float(model.weights @ instance.values)
+            low, high = 0.25 * rng.integers(1, 5, 2)
+            t_minus, t_plus = {
+                Label.POSITIVE: (score - low - high, score - low),
+                Label.NEGATIVE: (score + low, score + low + high),
+                Label.REJECT: (score - low, score + high),
+            }[label]
+            clf = RejectClassifier(model, t_minus, t_plus)
+        assert predict(clf, instance).label is label
+        explanation = subset_minimal_explanation(clf, instance)
+        assert explanation.indices == _reference_deletion(clf, instance)

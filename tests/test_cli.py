@@ -350,6 +350,38 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("3", "expected a JSON object"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"weights": [1.0], "bias": "0", "t_minus": -0.5, "t_plus": 0.5,'
+             ' "domains": [[0, 1]], "scaling": null}', "bias must be a number"),
+            ('{"weights": [1e308, 1e308], "bias": 0.0, "t_minus": -0.5, "t_plus": 0.5,'
+             ' "domains": [[0, 1], [0, 1]], "scaling": null}', "worst-case score bounds overflow"),
+        ],
+        ids=["number", "list", "bias-str", "overflow"],
+    )
+    def test_bad_model_file_is_input_error(self, tmp_path, capsys, payload, message):
+        model = tmp_path / "model.json"
+        model.write_text(payload)
+        code = cli.main(
+            ["explain", "--model", str(model), "--instance-json", "[0.5, 0.5]",
+             "--out-report", str(tmp_path / "r.jsonl")]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {model}: {message}")
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_zero_repeats_is_input_error(self, pipeline_paths, capsys):
+        p = pipeline_paths
+        code = cli.main(
+            ["benchmark", "--model", str(p["model"]), "--data", str(p["data"]),
+             "--repeats", "0", "--out-report", str(p["report"])]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "error: --repeats must be at least 1, got 0" in capsys.readouterr().err
+
     def test_wr_out_of_range_is_input_error(self, pipeline_paths):
         p = pipeline_paths
         assert run_train(p) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -109,6 +110,58 @@ class TestDataset:
         np.testing.assert_array_equal(matrix, [[0.5, 0.25]])
         assert names == ("a", "b")
 
+    def test_non_numeric_cell_message_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\n0.5,0.25,1\n0.5,x1,-1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: non-numeric cell 'x1' at row 3, column 'b'"
+
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\nfoo,bar,1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: non-numeric cell 'foo' at row 2, column 'a'"
+
+    def test_ragged_row_message(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,label\n0.5,0.25,1\n0.5,1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: row 3 has 2 cells, expected 3"
+
+    def test_ragged_row_reported_before_its_bad_cells(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,label\noops,1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: row 2 has 2 cells, expected 3"
+
+    def test_blank_lines_skipped_and_cells_parsed_as_python_floats(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text(" a , b ,label\n\n 0.5 ,\t1_0,1\n,,\n  nan,-2e-3 , -1\n\n")
+        matrix, names = load_feature_matrix(path)
+        assert names == ("a", "b", "label")
+        np.testing.assert_array_equal(matrix, [[0.5, 10.0, 1.0], [np.nan, -0.002, -1.0]])
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("a,label\n\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: no data rows"
+
+
+_BAND_MODEL = {
+    "weights": [2.0, -2.0],
+    "bias": 0.0,
+    "t_minus": -1.0,
+    "t_plus": 1.0,
+    "domains": [[0.0, 1.0], [0.0, 1.0]],
+    "scaling": None,
+}
+
 
 class TestModelRoundTrip:
     def test_save_load_identity(self, tmp_path):
@@ -181,6 +234,41 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(clf.model.weights, [2.0, -2.0])
         assert clf.t_minus == -1.0 and clf.t_plus == 1.0
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (3, "expected a JSON object, got int"),
+            ([1.0, 2.0], "expected a JSON object, got list"),
+            (dict(_BAND_MODEL, bias="0.1"), "bias must be a number, got '0.1'"),
+            (dict(_BAND_MODEL, t_minus="-1"), "t_minus must be a number, got '-1'"),
+            (dict(_BAND_MODEL, t_plus="1"), "t_plus must be a number, got '1'"),
+            (dict(_BAND_MODEL, bias=True), "bias must be a number, got True"),
+            (dict(_BAND_MODEL, weights=["2", "-2"]), "weights must hold numbers only"),
+            (dict(_BAND_MODEL, domains=[[0.0, 1.0], [0.0]]), "domains is not a rectangular"),
+            (dict(_BAND_MODEL, scaling=[0.0, 1.0]), "scaling must provide mins and maxs"),
+        ],
+        ids=["number", "list", "bias-str", "t_minus-str", "t_plus-str", "bias-bool",
+             "weights-str", "domains-ragged", "scaling-list"],
+    )
+    def test_malformed_model_file_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_integer_fields_still_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(_BAND_MODEL, weights=[2, -2], bias=0, t_minus=-1, t_plus=1)))
+        clf = load_model(path).classifier()
+        assert clf.model.bias == 0.0 and clf.t_minus == -1.0 and clf.t_plus == 1.0
+
+    def test_overflowing_score_bounds_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(_BAND_MODEL, weights=[1e308, 1e308])))
+        with pytest.raises(ModelFormatError, match="score bounds overflow"):
+            load_model(path)
+
 
 def _record(instance_id, size, kind="POSITIVE", method="minabro", time_ms=1.0):
     return ExplanationRecord(
@@ -240,3 +328,50 @@ class TestReports:
         write_explanation_report(records, one)
         write_explanation_report(records, two)
         assert one.read_bytes() == two.read_bytes()
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "report.jsonl"
+        records = [
+            _record(0, 20, time_ms=1.5),
+            ExplanationRecord(
+                instance_id="row-7",
+                label="REJECT",
+                score=-0.125,
+                kind="REJECTION",
+                indices=(1, 4),
+                size=2,
+                certified_minimum=False,
+                method="baseline",
+                time_ms=2.5,
+                nodes=7,
+                boundary_tight=True,
+            ),
+            _record(2, 1, time_ms=2.5),
+        ]
+        records[0] = dataclasses.replace(records[0], score=0.75, indices=tuple(range(0, 60, 3)))
+        records[2] = dataclasses.replace(records[2], score=1.0, indices=(3,))
+        write_explanation_report(records, path, skipped_out_of_domain=3, note="single repeat")
+        empty = (
+            '{"count": 0, "size_mean": null, "size_std": null, '
+            '"time_mean_ms": null, "time_std_ms": null}'
+        )
+        expected = (
+            '{"instance_id": 0, "label": "POSITIVE", "score": 0.75, "kind": "POSITIVE", '
+            '"indices": [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45, 48, 51, 54, 57], '
+            '"size": 20, "certified_minimum": true, "method": "minabro", "time_ms": 1.5, '
+            '"nodes": null, "boundary_tight": false}\n'
+            '{"instance_id": "row-7", "label": "REJECT", "score": -0.125, "kind": "REJECTION", '
+            '"indices": [1, 4], "size": 2, "certified_minimum": false, "method": "baseline", '
+            '"time_ms": 2.5, "nodes": 7, "boundary_tight": true}\n'
+            '{"instance_id": 2, "label": "POSITIVE", "score": 1.0, "kind": "POSITIVE", '
+            '"indices": [3], "size": 1, "certified_minimum": true, "method": "minabro", '
+            '"time_ms": 2.5, "nodes": null, "boundary_tight": false}\n'
+            '{"aggregate": {"by_group": {'
+            '"minabro/classified": {"count": 2, "size_mean": 10.5, "size_std": 9.5, '
+            '"time_mean_ms": 2.0, "time_std_ms": 0.5}, '
+            f'"minabro/rejected": {empty}, "baseline/classified": {empty}, '
+            '"baseline/rejected": {"count": 1, "size_mean": 2.0, "size_std": 0.0, '
+            '"time_mean_ms": 2.5, "time_std_ms": 0.0}}, '
+            '"skipped_out_of_domain": 3, "note": "single repeat"}}\n'
+        )
+        assert path.read_bytes() == expected.encode()

@@ -169,6 +169,24 @@ class TestConstructionInvariants:
         with pytest.raises(ValueError):
             LinearModel(np.array([1.0, 2.0]), 0.0, unit_box(3))
 
+    @pytest.mark.parametrize(
+        "weights, bias, domains",
+        [
+            ([1e308, 1e308], 0.0, unit_box(2)),  # upper bound overflows
+            ([-1e308, -1e308], 0.0, unit_box(2)),  # lower bound overflows
+            ([1e308], 1e308, unit_box(1)),  # the bias tips it over
+            ([1e308], 0.0, np.array([[-1.0, 1.0]])),  # bounds finite, span not
+            ([2.0], 0.0, np.array([[0.0, 1e308]])),  # the product overflows
+        ],
+    )
+    def test_overflowing_score_bounds_rejected(self, weights, bias, domains):
+        with pytest.raises(ValueError, match="score bounds overflow"):
+            LinearModel(np.array(weights), bias, domains)
+
+    def test_large_finite_bounds_accepted(self):
+        model = LinearModel(np.array([1e307, -1e307]), 0.0, unit_box(2))
+        assert model.n_features == 2
+
     def test_threshold_order_enforced(self):
         model = LinearModel(np.array([1.0]), 0.0, unit_box(1))
         with pytest.raises(ValueError):
