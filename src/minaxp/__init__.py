@@ -41,7 +41,6 @@ from .model import (
     DomainError,
     Explanation,
     ExplanationKind,
-    FeatureDomain,
     Instance,
     Label,
     LabelMismatchError,
@@ -87,7 +86,6 @@ __all__ = [
     "Explanation",
     "ExplanationKind",
     "ExplanationRecord",
-    "FeatureDomain",
     "GreedyTrace",
     "IlpSolution",
     "Instance",

@@ -11,60 +11,60 @@ from __future__ import annotations
 
 from .model import (
     DEFAULT_EPSILON,
+    CoverProblem,
     Explanation,
-    ExplanationKind,
     Instance,
+    Label,
     RejectClassifier,
-    coefficient_profile,
-    kind_for_label,
-    predict,
+    cover_problem,
 )
 
 
-def subset_minimal_explanation(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> Explanation:
-    """Subset-minimal explanation for whatever the instance's prediction is.
+def _walk_down(start: float, gains: list, limit: float) -> list[int]:
+    """Indices kept by dropping, in order, every gain ``start`` can lose and stay >= ``limit``."""
+    kept = []
+    for j, gain in enumerate(gains):
+        if start - gain >= limit:
+            start -= gain
+        else:
+            kept.append(j)
+    return kept
+
+
+def deletion_explanation(problem: CoverProblem, eps: float = DEFAULT_EPSILON) -> Explanation:
+    """Subset-minimal explanation of the problem's label.
 
     Validity under a removal is tracked incrementally: dropping feature j
-    raises the reachable maximum by ``delta_minus[j]`` and lowers the
-    reachable minimum by ``delta_plus[j]``, so each trial costs O(1).
+    raises the reachable maximum by ``gain_up[j]`` and lowers the reachable
+    minimum by ``gain_down[j]``, so each trial costs O(1).  With every
+    feature pinned both bounds collapse onto the score itself.  Python
+    floats round exactly as numpy float64 scalars do, so the walk over plain
+    lists keeps the same features.
     """
-    pred = predict(clf, instance, eps)
-    kind = kind_for_label(pred.label)
-    profile = coefficient_profile(clf, instance)
-    t_minus, t_plus = clf.t_minus, clf.t_plus
-
-    # With every feature pinned both bounds collapse onto the score itself.
-    # Python floats round exactly as numpy float64 scalars do, so the walk
-    # over plain lists keeps the same features.
-    smax = pred.score
-    smin = pred.score
-    kept = []
-    if kind is ExplanationKind.POSITIVE:
-        floor = t_plus - eps
-        for j, up in enumerate(profile.delta_plus.tolist()):
-            if smin - up >= floor:
-                smin -= up
-            else:
-                kept.append(j)
-    elif kind is ExplanationKind.NEGATIVE:
-        ceiling = t_minus + eps
-        for j, down in enumerate(profile.delta_minus.tolist()):
-            if smax + down <= ceiling:
-                smax += down
-            else:
-                kept.append(j)
+    ceiling = problem.ceiling + eps
+    floor = problem.floor - eps
+    if problem.label is Label.POSITIVE:
+        kept = _walk_down(problem.score, problem.gain_down.tolist(), floor)
+    elif problem.label is Label.NEGATIVE:
+        # The upper bound, negated: -(s + g) <= -c is exactly s + g <= c.
+        kept = _walk_down(-problem.score, problem.gain_up.tolist(), -ceiling)
     else:
-        ceiling = t_plus + eps
-        floor = t_minus - eps
-        gains = zip(profile.delta_minus.tolist(), profile.delta_plus.tolist())
-        for j, (down, up) in enumerate(gains):
-            trial_max = smax + down
-            trial_min = smin - up
+        smax = smin = problem.score
+        kept = []
+        gains = zip(problem.gain_up.tolist(), problem.gain_down.tolist())
+        for j, (up, down) in enumerate(gains):
+            trial_max = smax + up
+            trial_min = smin - down
             if trial_max <= ceiling and trial_min >= floor:
                 smax = trial_max
                 smin = trial_min
             else:
                 kept.append(j)
-    return Explanation(indices=kept, kind=kind, certified_minimum=False)
+    return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
+
+
+def subset_minimal_explanation(
+    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
+) -> Explanation:
+    """Subset-minimal explanation for whatever the instance's prediction is."""
+    return deletion_explanation(cover_problem(clf, instance, eps), eps)

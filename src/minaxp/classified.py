@@ -1,7 +1,7 @@
 """Greedy minimum-size explanations for accepted (classified) predictions.
 
 Pinning a feature raises the worst-case lower score bound by its gain
-``delta_plus`` (positive case) or lowers the upper bound by ``delta_minus``
+``gain_down`` (positive case) or lowers the upper bound by ``gain_up``
 (negative case).  Because every feature costs one unit and gains add up
 independently, sorting features by gain and taking the shortest prefix that
 covers the required margin yields an explanation of provably minimum size,
@@ -16,14 +16,14 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPSILON,
+    CoverProblem,
     Explanation,
     ExplanationKind,
     Instance,
     Label,
     LabelMismatchError,
     RejectClassifier,
-    coefficient_profile,
-    predict,
+    cover_problem,
 )
 
 
@@ -73,6 +73,16 @@ def _greedy_prefix(
     return explanation, trace
 
 
+def greedy_explanation(
+    problem: CoverProblem, eps: float = DEFAULT_EPSILON
+) -> tuple[Explanation, GreedyTrace]:
+    """Minimum-size explanation of a classified problem: the greedy over its
+    one constrained side, ``gain_down`` for POSITIVE and ``gain_up`` for NEGATIVE."""
+    if problem.label is Label.POSITIVE:
+        return _greedy_prefix(problem.gain_down, problem.need_down, ExplanationKind.POSITIVE, eps)
+    return _greedy_prefix(problem.gain_up, problem.need_up, ExplanationKind.NEGATIVE, eps)
+
+
 def explain_positive(
     clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
 ) -> tuple[Explanation, GreedyTrace]:
@@ -82,23 +92,13 @@ def explain_positive(
     ``t_plus - baseline_min``; the pinned set keeps the worst-case lower
     score bound at or above ``t_plus``.
     """
-    pred = predict(clf, instance, eps)
-    if pred.label is not Label.POSITIVE:
-        raise LabelMismatchError(f"instance is predicted {pred.label.value}, not POSITIVE")
-    profile = coefficient_profile(clf, instance)
-    gains, margin = profile.delta_plus, clf.t_plus - profile.baseline_min
-    del profile  # free the unused bound arrays before the sort allocates
-    return _greedy_prefix(gains, margin, ExplanationKind.POSITIVE, eps)
+    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.POSITIVE)
+    return greedy_explanation(problem, eps)
 
 
 def explain_negative(
     clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
 ) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a NEGATIVE prediction (mirror of the positive case)."""
-    pred = predict(clf, instance, eps)
-    if pred.label is not Label.NEGATIVE:
-        raise LabelMismatchError(f"instance is predicted {pred.label.value}, not NEGATIVE")
-    profile = coefficient_profile(clf, instance)
-    gains, margin = profile.delta_minus, profile.baseline_max - clf.t_minus
-    del profile  # free the unused bound arrays before the sort allocates
-    return _greedy_prefix(gains, margin, ExplanationKind.NEGATIVE, eps)
+    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.NEGATIVE)
+    return greedy_explanation(problem, eps)

@@ -162,7 +162,18 @@ def _instances_from_args(args, bundle):
             text = Path(text).read_text()
         payload = json.loads(text)
         if isinstance(payload, dict):
+            if "values" not in payload:
+                raise ValueError('--instance-json: the JSON object has no "values" field')
             payload = payload["values"]
+        if not isinstance(payload, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in payload
+        ):
+            raise ValueError("--instance-json: expected a flat JSON list of numbers")
+        n_features = bundle.model.n_features
+        if len(payload) != n_features:
+            raise ValueError(
+                f"--instance-json: {len(payload)} values, but the model has {n_features} features"
+            )
         values = np.asarray(payload, dtype=float)
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
@@ -183,27 +194,36 @@ def _instances_from_args(args, bundle):
     return rows
 
 
+def _check_limits(args) -> None:
+    """Refuse limits that would silently drop rows or stop every search at once."""
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
+    if args.node_limit < 0:
+        raise ValueError(f"--node-limit must be at least 0, got {args.node_limit}")
+    if not args.time_limit >= 0.0:
+        raise ValueError(f"--time-limit must be a number >= 0, got {args.time_limit}")
+
+
 def cmd_explain(args) -> int:
+    _check_limits(args)
     bundle = load_model(args.model)
     clf = bundle.classifier()
     records: list[ExplanationRecord] = []
     skipped = 0
     for instance_id, values in _instances_from_args(args, bundle):
         try:
-            instance = Instance.validated(clf.model, values)
+            records.extend(
+                explain_instance(
+                    clf,
+                    Instance(values),
+                    instance_id,
+                    method=args.method,
+                    node_limit=args.node_limit,
+                    time_limit=args.time_limit,
+                )
+            )
         except DomainError:
             skipped += 1
-            continue
-        records.extend(
-            explain_instance(
-                clf,
-                instance,
-                instance_id,
-                method=args.method,
-                node_limit=args.node_limit,
-                time_limit=args.time_limit,
-            )
-        )
     write_explanation_report(records, args.out_report, skipped_out_of_domain=skipped)
     by_kind = {}
     for record in records:
@@ -213,28 +233,26 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _agrees_with_brute_force(clf, instance, label) -> bool:
+    """Whether the exact explainer finds (and, for a rejection, certifies) the minimum size."""
+    oracle = brute_force_minimum(clf, instance)
+    if label is Label.REJECT:
+        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+        return solution.optimal and solution.objective == oracle.size
+    explain = explain_positive if label is Label.POSITIVE else explain_negative
+    return explain(clf, instance)[0].size == oracle.size
+
+
 def _verify_random(args) -> tuple[int, int, int, int]:
     rng = np.random.default_rng(args.seed)
     classified_ok = rejected_ok = 0
     for i in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
         label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
-        clf, instance = random_case(rng, n, label)
-        exact, _ = (
-            explain_positive(clf, instance)
-            if label is Label.POSITIVE
-            else explain_negative(clf, instance)
-        )
-        oracle = brute_force_minimum(clf, instance)
-        if exact.size == oracle.size:
-            classified_ok += 1
+        classified_ok += _agrees_with_brute_force(*random_case(rng, n, label), label)
     for _ in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
-        clf, instance = random_case(rng, n, Label.REJECT)
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
-        oracle = brute_force_minimum(clf, instance)
-        if solution.optimal and solution.objective == oracle.size:
-            rejected_ok += 1
+        rejected_ok += _agrees_with_brute_force(*random_case(rng, n, Label.REJECT), Label.REJECT)
     return classified_ok, args.cases, rejected_ok, args.cases
 
 
@@ -254,19 +272,13 @@ def _verify_data(args) -> tuple[int, int, int, int]:
         except DomainError:
             continue
         label = predict(clf, instance).label
-        oracle = brute_force_minimum(clf, instance)
+        ok = _agrees_with_brute_force(clf, instance, label)
         if label is Label.REJECT:
             rejected_total += 1
-            solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
-            rejected_ok += int(solution.optimal and solution.objective == oracle.size)
+            rejected_ok += ok
         else:
             classified_total += 1
-            exact, _ = (
-                explain_positive(clf, instance)
-                if label is Label.POSITIVE
-                else explain_negative(clf, instance)
-            )
-            classified_ok += int(exact.size == oracle.size)
+            classified_ok += ok
     return classified_ok, classified_total, rejected_ok, rejected_total
 
 
@@ -288,6 +300,7 @@ def cmd_verify(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    _check_limits(args)
     bundle = load_model(args.model)
     clf = bundle.classifier()
     data = _load(args.data, args.delimiter, args.label_col, scaling=bundle.scaling)
@@ -297,26 +310,25 @@ def cmd_benchmark(args) -> int:
     records: list[ExplanationRecord] = []
     skipped = 0
     for instance_id, values in rows:
+        instance = Instance(values)
         try:
-            instance = Instance.validated(clf.model, values)
+            for method in ("minabro", "baseline") if args.method == "both" else (args.method,):
+                times = []
+                for _ in range(args.repeats):
+                    start = time.perf_counter()
+                    (last,) = explain_instance(
+                        clf,
+                        instance,
+                        instance_id,
+                        method=method,
+                        node_limit=args.node_limit,
+                        time_limit=args.time_limit,
+                    )
+                    times.append((time.perf_counter() - start) * 1000.0)
+                records.append(dataclasses.replace(last, time_ms=statistics.median(times)))
         except DomainError:
+            # Validation comes first, so no record of such a row was added.
             skipped += 1
-            continue
-        for method in ("minabro", "baseline") if args.method == "both" else (args.method,):
-            times = []
-            last = None
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                (last,) = explain_instance(
-                    clf,
-                    instance,
-                    instance_id,
-                    method=method,
-                    node_limit=args.node_limit,
-                    time_limit=args.time_limit,
-                )
-                times.append((time.perf_counter() - start) * 1000.0)
-            records.append(dataclasses.replace(last, time_ms=statistics.median(times)))
     note = None
     if args.repeats == 1:
         note = "single repeat: per-instance timing spread undefined, medians equal the one sample"

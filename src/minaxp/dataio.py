@@ -82,10 +82,6 @@ class Dataset:
     scaling: ScalingInfo | None = None
 
     @property
-    def n_instances(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.features.shape[1]
 
@@ -210,10 +206,6 @@ class ModelBundle:
     t_minus: float | None = None
     t_plus: float | None = None
     scaling: ScalingInfo | None = None
-
-    @classmethod
-    def from_classifier(cls, clf: RejectClassifier, scaling: ScalingInfo | None = None):
-        return cls(model=clf.model, t_minus=clf.t_minus, t_plus=clf.t_plus, scaling=scaling)
 
     def classifier(self) -> RejectClassifier:
         if self.t_minus is None or self.t_plus is None:

@@ -11,24 +11,22 @@ import time
 
 import numpy as np
 
-from .baseline import subset_minimal_explanation
-from .classified import explain_negative, explain_positive
+from .baseline import deletion_explanation
+from .classified import greedy_explanation
 from .dataio import ExplanationRecord
 from .model import (
     DEFAULT_EPSILON,
     Explanation,
-    ExplanationKind,
     Instance,
     Label,
     RejectClassifier,
-    coefficient_profile,
-    predict,
+    cover_problem,
 )
 from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
-    build_rejection_ilp,
-    explanation_from_solution,
+    RejectionIlp,
+    lift_solution,
     solve_rejection_ilp,
 )
 
@@ -44,18 +42,11 @@ def boundary_tight(
     """Whether a bound of this explanation sits within eps of its threshold.
 
     Such explanations are valid under the non-strict reading but would be
-    arguable under a strict one; reports flag them for inspection.
+    arguable under a strict one; reports flag them for inspection.  The
+    explanation's kind must be the one the instance's prediction calls for.
     """
-    profile = coefficient_profile(clf, instance)
-    # Explanation indices are sorted and unique: the array s_max / s_min build.
-    idx = np.asarray(explanation.indices, dtype=np.intp)
-    smax = float(profile.baseline_max - profile.delta_minus[idx].sum())
-    smin = float(profile.baseline_min + profile.delta_plus[idx].sum())
-    if explanation.kind is ExplanationKind.POSITIVE:
-        return abs(smin - clf.t_plus) <= eps
-    if explanation.kind is ExplanationKind.NEGATIVE:
-        return abs(smax - clf.t_minus) <= eps
-    return abs(smax - clf.t_plus) <= eps or abs(smin - clf.t_minus) <= eps
+    problem = cover_problem(clf, instance, eps).expect(explanation.kind)
+    return problem.tight(np.asarray(explanation.indices, dtype=np.intp), eps)
 
 
 def explain_instance(
@@ -67,52 +58,47 @@ def explain_instance(
     time_limit: float = DEFAULT_TIME_LIMIT,
     eps: float = DEFAULT_EPSILON,
 ) -> list[ExplanationRecord]:
-    """Explain one instance with the requested method(s), returning report records."""
+    """Explain one instance with the requested method(s), returning report records.
+
+    The instance is validated, scored and turned into its cover problem once;
+    each record's ``time_ms`` covers its explainer working from that problem.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    pred = predict(clf, instance, eps)
+    problem = cover_problem(clf, instance, eps)
+
+    def record(explanation, name, elapsed_ms, nodes):
+        return ExplanationRecord(
+            instance_id=instance_id,
+            label=problem.label.value,
+            score=problem.score,
+            kind=explanation.kind.value,
+            indices=explanation.indices,
+            size=explanation.size,
+            certified_minimum=explanation.certified_minimum,
+            method=name,
+            time_ms=elapsed_ms,
+            nodes=nodes,
+            boundary_tight=problem.tight(np.asarray(explanation.indices, dtype=np.intp), eps),
+        )
+
     records = []
     if method in ("minabro", "both"):
-        records.append(
-            _run_exact(clf, instance, instance_id, pred, node_limit, time_limit, eps)
-        )
+        nodes = None
+        start = time.perf_counter()
+        if problem.label is Label.REJECT:
+            solution = solve_rejection_ilp(
+                RejectionIlp.of(problem), node_limit=node_limit, time_limit=time_limit, eps=eps
+            )
+            explanation = lift_solution(problem, solution, eps)
+            nodes = solution.nodes_explored
+        else:
+            explanation, _ = greedy_explanation(problem, eps)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        records.append(record(explanation, "minabro", elapsed_ms, nodes))
     if method in ("baseline", "both"):
         start = time.perf_counter()
-        explanation = subset_minimal_explanation(clf, instance, eps)
+        explanation = deletion_explanation(problem, eps)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        records.append(
-            _record(clf, instance, instance_id, pred, explanation, "baseline", elapsed_ms, None, eps)
-        )
+        records.append(record(explanation, "baseline", elapsed_ms, None))
     return records
-
-
-def _run_exact(clf, instance, instance_id, pred, node_limit, time_limit, eps):
-    nodes = None
-    start = time.perf_counter()
-    if pred.label is Label.POSITIVE:
-        explanation, _ = explain_positive(clf, instance, eps)
-    elif pred.label is Label.NEGATIVE:
-        explanation, _ = explain_negative(clf, instance, eps)
-    else:
-        ilp = build_rejection_ilp(clf, instance, eps)
-        solution = solve_rejection_ilp(ilp, node_limit=node_limit, time_limit=time_limit, eps=eps)
-        explanation = explanation_from_solution(clf, instance, solution, eps)
-        nodes = solution.nodes_explored
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _record(clf, instance, instance_id, pred, explanation, "minabro", elapsed_ms, nodes, eps)
-
-
-def _record(clf, instance, instance_id, pred, explanation, method, elapsed_ms, nodes, eps):
-    return ExplanationRecord(
-        instance_id=instance_id,
-        label=pred.label.value,
-        score=pred.score,
-        kind=explanation.kind.value,
-        indices=explanation.indices,
-        size=explanation.size,
-        certified_minimum=explanation.certified_minimum,
-        method=method,
-        time_ms=elapsed_ms,
-        nodes=nodes,
-        boundary_tight=boundary_tight(clf, instance, explanation, eps),
-    )

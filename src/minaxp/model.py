@@ -12,7 +12,7 @@ others range freely over their domains.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -73,35 +73,11 @@ def kind_for_label(label: Label) -> ExplanationKind:
     return _KIND_FOR_LABEL[label]
 
 
-@dataclass(frozen=True)
-class FeatureDomain:
-    """Closed real interval a feature may take values in."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError("feature domain bounds must be finite")
-        if self.lower > self.upper:
-            raise ValueError(f"empty feature domain [{self.lower}, {self.upper}]")
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-
 def _as_domain_array(domains) -> np.ndarray:
-    """Normalize domains given as FeatureDomain objects or an (n, 2) array."""
-    if isinstance(domains, np.ndarray) and domains.ndim == 2 and domains.shape[1] == 2:
-        arr = np.asarray(domains, dtype=float)
-    else:
-        items = list(domains)
-        if items and isinstance(items[0], FeatureDomain):
-            arr = np.array([(d.lower, d.upper) for d in items], dtype=float)
-        else:
-            arr = np.asarray(items, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("domains must be FeatureDomain objects or (lower, upper) pairs")
+    """Normalize domains given as an (n, 2) array or a sequence of (lower, upper) pairs."""
+    arr = np.asarray(domains if isinstance(domains, np.ndarray) else list(domains), dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("domains must be (lower, upper) pairs")
     if not np.all(np.isfinite(arr)):
         raise ValueError("feature domain bounds must be finite")
     if np.any(arr[:, 0] > arr[:, 1]):
@@ -114,12 +90,19 @@ def _as_domain_array(domains) -> np.ndarray:
 class LinearModel:
     """Weight vector, bias and per-feature bounded domains.
 
-    Arrays are not copied defensively; treat a constructed model as immutable.
+    Construction also works out, once per model, each feature's extreme
+    contributions when free (``alpha_max`` / ``alpha_min``) and the score
+    bounds with nothing pinned (``top`` / ``bottom``).  Arrays are not
+    copied defensively; treat a constructed model as immutable.
     """
 
     weights: np.ndarray
     bias: float
     domains: np.ndarray  # shape (n, 2): lower / upper per feature
+    alpha_max: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_min: np.ndarray = field(init=False, repr=False, compare=False)
+    top: float = field(init=False, repr=False, compare=False)
+    bottom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -134,23 +117,30 @@ class LinearModel:
             raise ValueError(
                 f"weights ({w.size}) and domains ({dom.shape[0]}) must have identical length"
             )
-        # Every reachable score lies between the worst-case bounds and every
-        # sum of gains is at most their span: all finite once these three are.
+        bias = float(self.bias)
+        # The free maximum of w_j * x_j is at the upper end of the domain for
+        # w_j >= 0, at the lower end otherwise.  Every reachable score lies
+        # between top and bottom and every sum of gains is at most their
+        # span: all finite once these three are.
         with np.errstate(over="ignore", invalid="ignore"):
-            at_lower, at_upper = w * dom[:, 0], w * dom[:, 1]
-            highs = np.maximum(at_lower, at_upper)
-            lows = np.minimum(at_lower, at_upper)
-            top = self.bias + highs.sum()
-            bottom = self.bias + lows.sum()
-            span = (highs - lows).sum()
+            nonneg = w >= 0.0
+            alpha_max = np.where(nonneg, w * dom[:, 1], w * dom[:, 0])
+            alpha_min = np.where(nonneg, w * dom[:, 0], w * dom[:, 1])
+            top = float(bias + alpha_max.sum())
+            bottom = float(bias + alpha_min.sum())
+            span = (alpha_max - alpha_min).sum()
         if not (np.isfinite(top) and np.isfinite(bottom) and np.isfinite(span)):
             raise ValueError(
                 "worst-case score bounds overflow: "
                 f"max {top}, min {bottom}, span {span}; rescale weights or domains"
             )
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "domains", dom)
+        object.__setattr__(self, "alpha_max", alpha_max)
+        object.__setattr__(self, "alpha_min", alpha_min)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
 
     @property
     def n_features(self) -> int:
@@ -163,9 +153,6 @@ class LinearModel:
     @property
     def upper(self) -> np.ndarray:
         return self.domains[:, 1]
-
-    def feature_domain(self, j: int) -> FeatureDomain:
-        return FeatureDomain(float(self.domains[j, 0]), float(self.domains[j, 1]))
 
 
 def unit_box(n_features: int) -> np.ndarray:
@@ -296,9 +283,17 @@ class Explanation:
 
 
 def score(model: LinearModel, instance: Instance) -> float:
-    """Linear score ``w . x + b``."""
+    """Linear score ``w . x + b``, its dot taken in blocks of 8192 features.
+
+    OpenBLAS hands a longer dot to its thread pool, whose hand-off stalls
+    under host load and whose rounding follows the machine's thread count.
+    """
     validate_instance(model, instance)
-    return float(model.weights @ instance.values + model.bias)
+    w, x = model.weights, instance.values
+    dot = w[:8192] @ x[:8192]
+    for i in range(8192, w.size, 8192):
+        dot += w[i : i + 8192] @ x[i : i + 8192]
+    return float(dot + model.bias)
 
 
 def label_for_score(
@@ -321,29 +316,91 @@ def predict(
     return Prediction(label_for_score(s, clf.t_minus, clf.t_plus, eps), s)
 
 
-def coefficient_profile(clf: RejectClassifier, instance: Instance) -> CoefficientProfile:
-    """Precompute per-feature contribution bounds for one instance.
+@dataclass(frozen=True)
+class CoverProblem:
+    """One instance's explanation problem, built once by :func:`cover_problem`.
 
-    For ``w_j >= 0`` the free maximum is attained at the domain's upper end
-    and the free minimum at the lower end; signs flip for negative weights.
-    IEEE multiplication is monotone, so the resulting gains are non-negative
-    in floating point as well, no clamping needed.
+    Pinning feature ``j`` lowers the largest reachable score by
+    ``gain_up[j]`` and raises the smallest by ``gain_down[j]``; with nothing
+    pinned they sit at ``top`` and ``bottom``.  An explanation of ``kind``
+    must hold them at or below ``ceiling`` and at or above ``floor`` (within
+    eps), that is, its pinned gains must add up to ``need_up`` and
+    ``need_down``.  A side the label leaves free has an infinite limit, so
+    every check reads the same for all three kinds.
     """
+
+    label: Label
+    kind: ExplanationKind
+    score: float
+    gain_up: np.ndarray
+    gain_down: np.ndarray
+    top: float
+    bottom: float
+    ceiling: float
+    floor: float
+
+    def expect(self, kind: ExplanationKind) -> "CoverProblem":
+        """This problem, once its label is known to call for ``kind``."""
+        if self.kind is not kind:
+            raise LabelMismatchError(
+                f"instance is predicted {self.label.value}, cannot take a {kind.value} explanation"
+            )
+        return self
+
+    @property
+    def need_up(self) -> float:
+        return self.top - self.ceiling
+
+    @property
+    def need_down(self) -> float:
+        return self.floor - self.bottom
+
+    def bounds(self, idx: np.ndarray) -> tuple[float, float]:
+        """``(s_max, s_min)`` with the features of a sorted, unique index array pinned."""
+        return (
+            float(self.top - self.gain_up[idx].sum()),
+            float(self.bottom + self.gain_down[idx].sum()),
+        )
+
+    def holds(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
+        """Whether pinning ``idx`` forces the label."""
+        smax, smin = self.bounds(idx)
+        return smax <= self.ceiling + eps and smin >= self.floor - eps
+
+    def tight(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
+        """Whether a bound with ``idx`` pinned sits within eps of its limit."""
+        smax, smin = self.bounds(idx)
+        return abs(smax - self.ceiling) <= eps or abs(smin - self.floor) <= eps
+
+
+def cover_problem(
+    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
+) -> CoverProblem:
+    """Validate, score and label one instance and work out its gains, once."""
+    pred = predict(clf, instance, eps)
+    if pred.label is Label.POSITIVE:
+        ceiling, floor = np.inf, clf.t_plus
+    elif pred.label is Label.NEGATIVE:
+        ceiling, floor = clf.t_minus, -np.inf
+    else:
+        ceiling, floor = clf.t_plus, clf.t_minus
     model = clf.model
-    validate_instance(model, instance)
-    w = model.weights
-    nonneg = w >= 0.0
-    alpha_max = np.where(nonneg, w * model.upper, w * model.lower)
-    alpha_min = np.where(nonneg, w * model.lower, w * model.upper)
-    beta = w * instance.values
+    # IEEE multiplication is monotone, so the gains are non-negative in
+    # floating point as well, no clamping needed.
+    beta = model.weights * instance.values
+    return CoverProblem(
+        pred.label, _KIND_FOR_LABEL[pred.label], pred.score, model.alpha_max - beta,
+        beta - model.alpha_min, model.top, model.bottom, ceiling, floor,
+    )
+
+
+def coefficient_profile(clf: RejectClassifier, instance: Instance) -> CoefficientProfile:
+    """Per-feature contribution bounds for one instance (see CoefficientProfile)."""
+    model = clf.model
+    problem = cover_problem(clf, instance)
     return CoefficientProfile(
-        alpha_max=alpha_max,
-        alpha_min=alpha_min,
-        beta=beta,
-        delta_plus=beta - alpha_min,
-        delta_minus=alpha_max - beta,
-        baseline_max=float(model.bias + alpha_max.sum()),
-        baseline_min=float(model.bias + alpha_min.sum()),
+        model.alpha_max, model.alpha_min, model.weights * instance.values,
+        problem.gain_down, problem.gain_up, model.top, model.bottom,
     )
 
 
@@ -366,21 +423,6 @@ def s_min(profile: CoefficientProfile, fixed: Iterable[int]) -> float:
     return float(profile.baseline_min + profile.delta_plus[idx].sum())
 
 
-def _bounds_satisfy_kind(
-    smax: float,
-    smin: float,
-    kind: ExplanationKind,
-    t_minus: float,
-    t_plus: float,
-    eps: float,
-) -> bool:
-    if kind is ExplanationKind.POSITIVE:
-        return smin >= t_plus - eps
-    if kind is ExplanationKind.NEGATIVE:
-        return smax <= t_minus + eps
-    return smax <= t_plus + eps and smin >= t_minus - eps
-
-
 def is_valid_explanation(
     clf: RejectClassifier,
     instance: Instance,
@@ -395,12 +437,5 @@ def is_valid_explanation(
     REJECTION confines both bounds to the rejection band.  The instance's
     own prediction must already match ``kind``.
     """
-    pred = predict(clf, instance, eps)
-    if kind_for_label(pred.label) is not kind:
-        raise LabelMismatchError(
-            f"instance is predicted {pred.label.value}, cannot check a {kind.value} explanation"
-        )
-    profile = coefficient_profile(clf, instance)
-    return _bounds_satisfy_kind(
-        s_max(profile, fixed), s_min(profile, fixed), kind, clf.t_minus, clf.t_plus, eps
-    )
+    problem = cover_problem(clf, instance, eps).expect(kind)
+    return problem.holds(_as_index_array(fixed, problem.gain_up.size), eps)

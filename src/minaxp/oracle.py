@@ -21,8 +21,7 @@ from .model import (
     Label,
     LinearModel,
     RejectClassifier,
-    coefficient_profile,
-    kind_for_label,
+    cover_problem,
     predict,
     validate_instance,
 )
@@ -45,28 +44,15 @@ def brute_force_minimum(
         raise ValueError(
             f"brute force enumeration refused for n={n} > {MAX_ORACLE_FEATURES}"
         )
-    pred = predict(clf, instance, eps)
-    kind = kind_for_label(pred.label)
-    profile = coefficient_profile(clf, instance)
-    # Each kind reduces to covering demands with the per-feature gains.
-    gain_down = profile.delta_plus.tolist()  # lifts the lower bound
-    gain_up = profile.delta_minus.tolist()  # lowers the upper bound
-    need_down = clf.t_plus - profile.baseline_min if kind is ExplanationKind.POSITIVE else (
-        clf.t_minus - profile.baseline_min
-    )
-    need_up = profile.baseline_max - clf.t_minus if kind is ExplanationKind.NEGATIVE else (
-        profile.baseline_max - clf.t_plus
-    )
-    check_down = kind in (ExplanationKind.POSITIVE, ExplanationKind.REJECTION)
-    check_up = kind in (ExplanationKind.NEGATIVE, ExplanationKind.REJECTION)
-
+    problem = cover_problem(clf, instance, eps)
+    # Each kind reduces to covering demands with the per-feature gains; a
+    # side the label leaves free needs -inf and is not checked.
+    pairs = ((problem.gain_down, problem.need_down), (problem.gain_up, problem.need_up))
+    sides = [(gains.tolist(), need - eps) for gains, need in pairs if need != -np.inf]
     for k in range(n + 1):
         for subset in combinations(range(n), k):
-            if check_down and sum(gain_down[j] for j in subset) < need_down - eps:
-                continue
-            if check_up and sum(gain_up[j] for j in subset) < need_up - eps:
-                continue
-            return Explanation(indices=subset, kind=kind, certified_minimum=True)
+            if all(sum(gains[j] for j in subset) >= need for gains, need in sides):
+                return Explanation(indices=subset, kind=problem.kind, certified_minimum=True)
     raise AssertionError("unreachable: the full feature set is always valid")
 
 

@@ -7,8 +7,8 @@ correction terms ``beta - alpha_max`` (upper bound) and ``beta - alpha_min``
 (lower bound), with objective: pin as few features as possible.
 
 Both constraints are covering constraints in disguise: pinning feature j
-contributes ``delta_minus[j] >= 0`` towards pulling the upper bound below
-``t_plus`` and ``delta_plus[j] >= 0`` towards lifting the lower bound above
+contributes ``gain_up[j] >= 0`` towards pulling the upper bound below
+``t_plus`` and ``gain_down[j] >= 0`` towards lifting the lower bound above
 ``t_minus``.  The built-in solver is a best-first branch and bound over the
 binary variables.  Its per-node lower bound is the largest of three cover
 counts over the still-undecided features: the exact minimum number needed
@@ -34,15 +34,12 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPSILON,
+    CoverProblem,
     Explanation,
     ExplanationKind,
     Instance,
-    Label,
-    LabelMismatchError,
     RejectClassifier,
-    coefficient_profile,
-    is_valid_explanation,
-    predict,
+    cover_problem,
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -72,6 +69,11 @@ class RejectionIlp:
     slack_up: float  # t_plus - baseline_max
     slack_down: float  # t_minus - baseline_min
 
+    @classmethod
+    def of(cls, problem: CoverProblem) -> "RejectionIlp":
+        """The program of a rejected problem (``-(a - b)`` is ``b - a`` bit for bit)."""
+        return cls(-problem.gain_up, problem.gain_down, -problem.need_up, problem.need_down)
+
 
 @dataclass(frozen=True)
 class IlpSolution:
@@ -86,16 +88,7 @@ def build_rejection_ilp(
     clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
 ) -> RejectionIlp:
     """Assemble the rejection program for a rejected instance."""
-    pred = predict(clf, instance, eps)
-    if pred.label is not Label.REJECT:
-        raise LabelMismatchError(f"instance is predicted {pred.label.value}, not REJECT")
-    profile = coefficient_profile(clf, instance)
-    return RejectionIlp(
-        correction_up=profile.beta - profile.alpha_max,
-        correction_down=profile.beta - profile.alpha_min,
-        slack_up=float(clf.t_plus - profile.baseline_max),
-        slack_down=float(clf.t_minus - profile.baseline_min),
-    )
+    return RejectionIlp.of(cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION))
 
 
 def _cover_count(prefix_sums: np.ndarray, residual: float, eps: float) -> float:
@@ -108,31 +101,38 @@ def _cover_count(prefix_sums: np.ndarray, residual: float, eps: float) -> float:
     return float(pos + 1)
 
 
-class _SuffixBounds:
-    """Cover-count lower bounds over the undecided tail of the branch order.
+class _TailPrefixSums:
+    """Sorted prefix sums over the undecided tail of the branch order.
 
-    Three bound families per depth: each constraint alone and their sum
-    (feasible selections must cover all three).  Suffix prefix-sum arrays
-    are built lazily per visited depth and cached.
+    Three families per depth: each constraint alone and their sum (feasible
+    selections must satisfy all three).  The arrays are built lazily per
+    visited depth and cached; beyond _SUFFIX_EXACT_LIMIT variables every
+    depth uses the whole order's sums.
     """
 
-    def __init__(self, gain_up: np.ndarray, gain_down: np.ndarray, eps: float):
+    descending = False
+
+    def __init__(self, up: np.ndarray, down: np.ndarray, eps: float):
         self.eps = eps
-        self.exact = gain_up.size <= _SUFFIX_EXACT_LIMIT
-        self.gains = (gain_up, gain_down, gain_up + gain_down)
+        self.exact = up.size <= _SUFFIX_EXACT_LIMIT
+        self.values = (up, down, up + down)
         self.cache: list[dict[int, np.ndarray]] = [{}, {}, {}]
-        if not self.exact:
-            for family, gains in enumerate(self.gains):
-                self.cache[family][0] = np.cumsum(np.sort(gains)[::-1])
 
     def _prefix(self, family: int, depth: int) -> np.ndarray:
         if not self.exact:
             depth = 0
         cached = self.cache[family].get(depth)
         if cached is None:
-            cached = np.cumsum(np.sort(self.gains[family][depth:])[::-1])
+            ordered = np.sort(self.values[family][depth:])
+            cached = np.cumsum(ordered[::-1] if self.descending else ordered)
             self.cache[family][depth] = cached
         return cached
+
+
+class _SuffixBounds(_TailPrefixSums):
+    """Cover-count lower bounds: gains largest first, the largest count is admissible."""
+
+    descending = True
 
     def bound(self, depth: int, residual_up: float, residual_down: float) -> float:
         best = _cover_count(self._prefix(0, depth), residual_up, self.eps)
@@ -180,31 +180,12 @@ def _pack_count(prefix_sums: np.ndarray, budget: float, eps: float) -> int:
     return int(np.searchsorted(prefix_sums, budget + eps, side="right"))
 
 
-class _PackBounds:
+class _PackBounds(_TailPrefixSums):
     """Upper bounds on how many undecided features can still be removed.
 
-    Mirror image of _SuffixBounds for the complement search: ascending
-    prefix sums per cost family (each budget alone and their sum), the
-    smallest of the three fitting counts is admissible.
+    Mirror image of _SuffixBounds for the complement search: costs cheapest
+    first, the smallest of the three fitting counts is admissible.
     """
-
-    def __init__(self, cost_up: np.ndarray, cost_down: np.ndarray, eps: float):
-        self.eps = eps
-        self.exact = cost_up.size <= _SUFFIX_EXACT_LIMIT
-        self.costs = (cost_up, cost_down, cost_up + cost_down)
-        self.cache: list[dict[int, np.ndarray]] = [{}, {}, {}]
-        if not self.exact:
-            for family, costs in enumerate(self.costs):
-                self.cache[family][0] = np.cumsum(np.sort(costs))
-
-    def _prefix(self, family: int, depth: int) -> np.ndarray:
-        if not self.exact:
-            depth = 0
-        cached = self.cache[family].get(depth)
-        if cached is None:
-            cached = np.cumsum(np.sort(self.costs[family][depth:]))
-            self.cache[family][depth] = cached
-        return cached
 
     def bound(self, depth: int, budget_up: float, budget_down: float) -> int:
         best = _pack_count(self._prefix(0, depth), budget_up, self.eps)
@@ -481,13 +462,10 @@ def solve_rejection_ilp(
     )
 
 
-def explanation_from_solution(
-    clf: RejectClassifier,
-    instance: Instance,
-    solution: IlpSolution,
-    eps: float = DEFAULT_EPSILON,
+def lift_solution(
+    problem: CoverProblem, solution: IlpSolution, eps: float = DEFAULT_EPSILON
 ) -> Explanation:
-    """Lift a solver result to an Explanation, guaranteeing validity.
+    """Lift a solver result on a rejected problem to an Explanation, guaranteeing validity.
 
     If comparison-order rounding at the exact tolerance boundary ever makes
     the solver's selection fail the closed-form check, fall back to the full
@@ -498,13 +476,24 @@ def explanation_from_solution(
         kind=ExplanationKind.REJECTION,
         certified_minimum=solution.optimal,
     )
-    if not is_valid_explanation(clf, instance, explanation.indices, explanation.kind, eps):
+    if not problem.holds(np.asarray(explanation.indices, dtype=np.intp), eps):
         explanation = Explanation(
-            indices=tuple(range(clf.model.n_features)),
+            indices=np.arange(problem.gain_up.size),
             kind=ExplanationKind.REJECTION,
             certified_minimum=False,
         )
     return explanation
+
+
+def explanation_from_solution(
+    clf: RejectClassifier,
+    instance: Instance,
+    solution: IlpSolution,
+    eps: float = DEFAULT_EPSILON,
+) -> Explanation:
+    """Lift a solver result to an Explanation, guaranteeing validity (see lift_solution)."""
+    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION)
+    return lift_solution(problem, solution, eps)
 
 
 def explain_rejection(
@@ -520,6 +509,8 @@ def explain_rejection(
     exhaustion the returned set is still a valid explanation, just possibly
     larger than necessary.
     """
-    ilp = build_rejection_ilp(clf, instance, eps)
-    solution = solve_rejection_ilp(ilp, node_limit=node_limit, time_limit=time_limit, eps=eps)
-    return explanation_from_solution(clf, instance, solution, eps)
+    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION)
+    solution = solve_rejection_ilp(
+        RejectionIlp.of(problem), node_limit=node_limit, time_limit=time_limit, eps=eps
+    )
+    return lift_solution(problem, solution, eps)

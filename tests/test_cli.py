@@ -342,7 +342,64 @@ class TestEnvironment:
         assert "3/3 classified, 3/3 rejected agree" in result.stdout
 
 
+SCALED_BAND_MODEL = (
+    '{"weights": [2.0, -2.0], "bias": 0.0, "t_minus": -1.0, "t_plus": 1.0,'
+    ' "domains": [[0.0, 1.0], [0.0, 1.0]],'
+    ' "scaling": {"mins": [0.0, 0.0], "maxs": [10.0, 10.0]}}'
+)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("[5.0]", "1 values, but the model has 2 features"),
+            ("[5.0, 5.0, 5.0]", "3 values, but the model has 2 features"),
+            ("[[5.0, 5.0]]", "expected a flat JSON list of numbers"),
+            ('["5", 5.0]', "expected a flat JSON list of numbers"),
+            ("[true, 5.0]", "expected a flat JSON list of numbers"),
+            ('{"value": [5.0, 5.0]}', 'the JSON object has no "values" field'),
+            ('{"values": 5.0}', "expected a flat JSON list of numbers"),
+        ],
+        ids=["short", "long", "nested", "string", "bool", "no-values", "scalar-values"],
+    )
+    def test_bad_instance_json_is_input_error(self, tmp_path, capsys, payload, message):
+        model = tmp_path / "model.json"
+        model.write_text(SCALED_BAND_MODEL)
+        report = tmp_path / "r.jsonl"
+        code = cli.main(
+            ["explain", "--model", str(model), "--instance-json", payload,
+             "--out-report", str(report)]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: --instance-json: {message}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "benchmark"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--limit", "-1", "--limit must be at least 0, got -1"),
+            ("--node-limit", "-1", "--node-limit must be at least 0, got -1"),
+            ("--time-limit", "nan", "--time-limit must be a number >= 0, got nan"),
+            ("--time-limit", "-0.5", "--time-limit must be a number >= 0, got -0.5"),
+        ],
+        ids=["limit", "node-limit", "time-limit-nan", "time-limit-negative"],
+    )
+    def test_bad_limit_is_input_error(self, tmp_path, capsys, command, flag, value, message):
+        model = tmp_path / "model.json"
+        model.write_text(SCALED_BAND_MODEL)
+        data = tmp_path / "rows.csv"
+        data.write_text("a,b,label\n5,5,1\n1,9,-1\n")
+        report = tmp_path / "r.jsonl"
+        code = cli.main(
+            [command, "--model", str(model), "--data", str(data), flag, value,
+             "--out-report", str(report)]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--data", str(tmp_path / "nope.csv"), "--out-model", str(tmp_path / "m.json")]

@@ -1,0 +1,140 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+import minaxp.model as model_module
+from minaxp import (
+    DEFAULT_EPSILON,
+    Explanation,
+    ExplanationKind,
+    ExplanationRecord,
+    Instance,
+    Label,
+    LabelMismatchError,
+    LinearModel,
+    RejectClassifier,
+    boundary_tight,
+    brute_force_minimum,
+    build_rejection_ilp,
+    coefficient_profile,
+    explain_instance,
+    explain_negative,
+    explain_positive,
+    predict,
+    random_case,
+    s_max,
+    s_min,
+    solve_rejection_ilp,
+    subset_minimal_explanation,
+    unit_box,
+)
+from minaxp.rejected import explanation_from_solution
+
+
+def _reference_tight(clf, instance, explanation, eps):
+    """Boundary tightness from the coefficient profile, the kind tested per call."""
+    profile = coefficient_profile(clf, instance)
+    smax, smin = s_max(profile, explanation.indices), s_min(profile, explanation.indices)
+    if explanation.kind is ExplanationKind.POSITIVE:
+        return abs(smin - clf.t_plus) <= eps
+    if explanation.kind is ExplanationKind.NEGATIVE:
+        return abs(smax - clf.t_minus) <= eps
+    return abs(smax - clf.t_plus) <= eps or abs(smin - clf.t_minus) <= eps
+
+
+def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
+    """``explain_instance`` as a composition of the public per-explainer
+    functions, each of which starts again from ``(clf, instance)``."""
+    pred = predict(clf, instance, eps)
+
+    def record(explanation, name, nodes):
+        return ExplanationRecord(
+            instance_id=instance_id,
+            label=pred.label.value,
+            score=pred.score,
+            kind=explanation.kind.value,
+            indices=explanation.indices,
+            size=explanation.size,
+            certified_minimum=explanation.certified_minimum,
+            method=name,
+            time_ms=0.0,
+            nodes=nodes,
+            boundary_tight=_reference_tight(clf, instance, explanation, eps),
+        )
+
+    records = []
+    if method in ("minabro", "both"):
+        nodes = None
+        if pred.label is Label.POSITIVE:
+            explanation, _ = explain_positive(clf, instance, eps)
+        elif pred.label is Label.NEGATIVE:
+            explanation, _ = explain_negative(clf, instance, eps)
+        else:
+            ilp = build_rejection_ilp(clf, instance, eps)
+            solution = solve_rejection_ilp(ilp, eps=eps)
+            explanation = explanation_from_solution(clf, instance, solution, eps)
+            nodes = solution.nodes_explored
+        records.append(record(explanation, "minabro", nodes))
+    if method in ("baseline", "both"):
+        records.append(record(subset_minimal_explanation(clf, instance, eps), "baseline", None))
+    return records
+
+
+def _quarter_step_case(rng, n, label):
+    # Quarter steps are exact in binary, so bounds land exactly on thresholds.
+    model = LinearModel(rng.integers(-4, 5, n) * 0.5, 0.0, unit_box(n))
+    instance = Instance(rng.integers(0, 5, n) * 0.25)
+    score = float(model.weights @ instance.values)
+    low, high = 0.25 * rng.integers(1, 5, 2)
+    t_minus, t_plus = {
+        Label.POSITIVE: (score - low - high, score - low),
+        Label.NEGATIVE: (score + low, score + low + high),
+        Label.REJECT: (score - low, score + high),
+    }[label]
+    return RejectClassifier(model, t_minus, t_plus), instance
+
+
+def test_matches_the_composition_of_public_explainers():
+    rng = np.random.default_rng(5)
+    tight = 0
+    for i in range(400):
+        n = int(rng.integers(2, 13))
+        label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
+        if i % 2:
+            clf, instance = random_case(rng, n, label)
+        else:
+            clf, instance = _quarter_step_case(rng, n, label)
+        assert predict(clf, instance).label is label
+        method = ("minabro", "baseline", "both")[(i // 3) % 3]
+        got = explain_instance(clf, instance, i, method=method)
+        want = _reference_explain(clf, instance, i, method)
+        assert [dataclasses.replace(r, time_ms=0.0) for r in got] == want, (i, got, want)
+        for record in got:
+            if record.method == "minabro":
+                assert record.size == brute_force_minimum(clf, instance).size
+            tight += record.boundary_tight
+    assert tight > 0  # the quarter-step cases reach the thresholds
+
+
+def test_both_methods_validate_the_instance_once(monkeypatch, band_case):
+    clf, instance = band_case
+    calls = []
+    real = model_module.validate_instance
+
+    def counting(model, inst):
+        calls.append(inst)
+        return real(model, inst)
+
+    monkeypatch.setattr(model_module, "validate_instance", counting)
+    records = explain_instance(clf, instance, 0, method="both")
+    assert [r.method for r in records] == ["minabro", "baseline"]
+    assert len(calls) == 1
+
+
+def test_boundary_tight_refuses_a_kind_the_label_does_not_call_for(band_case):
+    clf, instance = band_case
+    # Pinning feature 0 puts the largest reachable score exactly on t_plus.
+    assert boundary_tight(clf, instance, Explanation((0,), ExplanationKind.REJECTION, True))
+    with pytest.raises(LabelMismatchError):
+        boundary_tight(clf, instance, Explanation((0,), ExplanationKind.POSITIVE, True))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,18 @@ class TestScore:
         clf, _ = band_case
         with pytest.raises(ValueError, match="expects 2"):
             score(clf.model, Instance(np.array([0.5, 0.5, 0.5])))
+
+    @pytest.mark.parametrize("n", [8192, 8193, 3 * 8192 + 5])
+    def test_wide_scores_add_fixed_blocks(self, n):
+        # Blocks of 8192 features, summed in order: no dot is long enough
+        # for BLAS to split it over threads, so the rounding is fixed.
+        rng = np.random.default_rng(n)
+        w, x = rng.normal(size=n), rng.random(n)
+        model = LinearModel(w, 0.25, unit_box(n))
+        blocks = sum(w[i : i + 8192] @ x[i : i + 8192] for i in range(0, n, 8192))
+        got = score(model, Instance(x))
+        assert got == float(blocks + 0.25)
+        assert got == pytest.approx(math.fsum(w * x) + 0.25, rel=1e-12, abs=1e-12)
 
 
 class TestPredict:
