@@ -283,6 +283,10 @@ def _verify_data(args) -> tuple[int, int, int, int]:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 0:
+        raise ValueError(f"--cases must be at least 0, got {args.cases}")
+    if args.data is None and args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     if args.cases == 0 and args.data is None:
         print("warning: --cases 0, nothing verified")
         return EXIT_OK

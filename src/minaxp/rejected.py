@@ -15,7 +15,13 @@ counts over the still-undecided features: the exact minimum number needed
 for each constraint separately (largest gains first) and the same count for
 the two constraints' sum, which any feasible selection must also cover.
 All three are admissible, so an incumbent matched by the best outstanding
-bound is provably optimal.
+bound is provably optimal.  The complement search over removable features
+bounds the other way, by the smallest of the three counts of cheapest
+costs that fit the slack.  Both read the counts off prefix sums of the
+undecided tail, which each visited depth builds once for all three families
+(one sort, one cumulative sum) and keeps in an ``array('d')`` at 8 bytes
+per value; a node looks its child depth up once and bisects it for both
+children, and the search itself runs on plain floats and lists.
 
 Feasibility of candidate solutions is always confirmed on sums taken in
 ascending feature order (numpy reductions), the same arithmetic the
@@ -26,9 +32,11 @@ even when thousands of additions would otherwise round differently.
 
 from __future__ import annotations
 
-import heapq
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -91,62 +99,87 @@ def build_rejection_ilp(
     return RejectionIlp.of(cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION))
 
 
-def _cover_count(prefix_sums: np.ndarray, residual: float, eps: float) -> float:
+class _TailSums:
+    """Sorted prefix sums over the undecided tail of the branch order, per depth.
+
+    Three families: each constraint's values alone and their sum (feasible
+    selections must satisfy all three).  A visited depth costs one sort and
+    one cumulative sum over all three, summed largest first for gains (cover
+    view) and cheapest first for costs (pack view).  The sums go into one
+    ``array('d')``, 8 bytes per value, and ``bisect`` reads each family
+    through a memoryview.  Beyond _SUFFIX_EXACT_LIMIT variables every depth
+    uses the whole order's sums.
+    """
+
+    def __init__(self, up: np.ndarray, down: np.ndarray, descending: bool):
+        self.values = np.vstack((up, down, up + down))
+        self.exact = up.size <= _SUFFIX_EXACT_LIMIT
+        self.descending = descending
+        self.cache: dict[int, tuple[memoryview, memoryview, memoryview]] = {}
+
+    def at(self, depth: int) -> tuple[memoryview, memoryview, memoryview]:
+        if not self.exact:
+            depth = 0
+        tail = self.cache.get(depth)
+        if tail is None:
+            width = self.values.shape[1] - depth
+            ordered = np.sort(self.values[:, depth:], axis=1)
+            flat = array("d", [0.0]) * (3 * width)  # allocated exactly, unlike frombytes
+            sums = np.frombuffer(flat).reshape(3, width)
+            np.cumsum(ordered[:, ::-1] if self.descending else ordered, axis=1, out=sums)
+            view = memoryview(flat)
+            tail = self.cache[depth] = (view[:width], view[width : 2 * width], view[2 * width :])
+        return tail
+
+
+def _cover_count(prefix_sums: memoryview, residual: float, eps: float) -> float:
     """Minimum number of gains (given sorted-descending prefix sums) covering residual."""
     if residual <= eps:
         return 0.0
-    pos = int(np.searchsorted(prefix_sums, residual - eps, side="left"))
-    if pos >= prefix_sums.size:
+    pos = bisect_left(prefix_sums, residual - eps)
+    return _INF if pos == len(prefix_sums) else float(pos + 1)
+
+
+def _cover_bound(tail, residual_up: float, residual_down: float, eps: float) -> float:
+    """Fewest further pins: the largest of the three cover counts is admissible."""
+    up, down, both = tail
+    best = _cover_count(up, residual_up, eps)
+    if best == _INF:
         return _INF
-    return float(pos + 1)
+    k = _cover_count(down, residual_down, eps)
+    if k == _INF:
+        return _INF
+    if k > best:
+        best = k
+    k = _cover_count(both, residual_up + residual_down, eps)
+    return k if k > best else best
 
 
-class _TailPrefixSums:
-    """Sorted prefix sums over the undecided tail of the branch order.
-
-    Three families per depth: each constraint alone and their sum (feasible
-    selections must satisfy all three).  The arrays are built lazily per
-    visited depth and cached; beyond _SUFFIX_EXACT_LIMIT variables every
-    depth uses the whole order's sums.
-    """
-
-    descending = False
-
-    def __init__(self, up: np.ndarray, down: np.ndarray, eps: float):
-        self.eps = eps
-        self.exact = up.size <= _SUFFIX_EXACT_LIMIT
-        self.values = (up, down, up + down)
-        self.cache: list[dict[int, np.ndarray]] = [{}, {}, {}]
-
-    def _prefix(self, family: int, depth: int) -> np.ndarray:
-        if not self.exact:
-            depth = 0
-        cached = self.cache[family].get(depth)
-        if cached is None:
-            ordered = np.sort(self.values[family][depth:])
-            cached = np.cumsum(ordered[::-1] if self.descending else ordered)
-            self.cache[family][depth] = cached
-        return cached
+def _pack_bound(tail, budget_up: float, budget_down: float, eps: float) -> int:
+    """Most further removals: the smallest of the three fitting counts is admissible."""
+    up, down, both = tail
+    best = bisect_right(up, budget_up + eps)
+    k = bisect_right(down, budget_down + eps)
+    if k < best:
+        best = k
+    k = bisect_right(both, budget_up + budget_down + eps)
+    return k if k < best else best
 
 
-class _SuffixBounds(_TailPrefixSums):
-    """Cover-count lower bounds: gains largest first, the largest count is admissible."""
+def _mask(size: int, positions, value: bool) -> np.ndarray:
+    """A boolean array that is ``value`` at ``positions`` and the opposite elsewhere."""
+    mask = np.full(size, not value)
+    mask[positions] = value
+    return mask
 
-    descending = True
 
-    def bound(self, depth: int, residual_up: float, residual_down: float) -> float:
-        best = _cover_count(self._prefix(0, depth), residual_up, self.eps)
-        if best == _INF:
-            return _INF
-        k_down = _cover_count(self._prefix(1, depth), residual_down, self.eps)
-        if k_down == _INF:
-            return _INF
-        if k_down > best:
-            best = k_down
-        k_sum = _cover_count(
-            self._prefix(2, depth), residual_up + residual_down, self.eps
-        )
-        return k_sum if k_sum > best else best
+def _positions(link) -> list[int]:
+    """The branch positions on a chain of ``(position, parent)`` links."""
+    positions = []
+    while link is not None:
+        position, link = link
+        positions.append(position)
+    return positions
 
 
 class _Feasibility:
@@ -168,36 +201,15 @@ class _Feasibility:
         self.eps = eps
 
     def check(self, positions) -> bool:
-        idx = np.sort(self.order[np.asarray(positions, dtype=int)])
+        """``positions``: a list of branch positions or a boolean mask over them."""
+        idx = np.sort(self.order[positions])
         return bool(
             self.gain_up[idx].sum() >= self.need_up - self.eps
             and self.gain_down[idx].sum() >= self.need_down - self.eps
         )
 
 
-def _pack_count(prefix_sums: np.ndarray, budget: float, eps: float) -> int:
-    """Maximum number of cheapest costs (ascending prefix sums) fitting the budget."""
-    return int(np.searchsorted(prefix_sums, budget + eps, side="right"))
-
-
-class _PackBounds(_TailPrefixSums):
-    """Upper bounds on how many undecided features can still be removed.
-
-    Mirror image of _SuffixBounds for the complement search: costs cheapest
-    first, the smallest of the three fitting counts is admissible.
-    """
-
-    def bound(self, depth: int, budget_up: float, budget_down: float) -> int:
-        best = _pack_count(self._prefix(0, depth), budget_up, self.eps)
-        k = _pack_count(self._prefix(1, depth), budget_down, self.eps)
-        if k < best:
-            best = k
-        k = _pack_count(self._prefix(2, depth), budget_up + budget_down, self.eps)
-        return k if k < best else best
-
-
 def _greedy_incumbent(
-    m: int,
     g_up: np.ndarray,
     g_down: np.ndarray,
     need_up: float,
@@ -209,26 +221,27 @@ def _greedy_incumbent(
     every feature that still helps an uncovered constraint, then drop
     redundant picks again.  The result is confirmed on canonical sums; if
     rounding ever disagrees, fall back to the always-feasible full set."""
+    up, down = g_up.tolist(), g_down.tolist()
     chosen = []
     su = sd = 0.0
-    for j in range(m):
+    for j in range(len(up)):
         up_open = su < need_up - eps
         down_open = sd < need_down - eps
         if not (up_open or down_open):
             break
-        if (up_open and g_up[j] > 0.0) or (down_open and g_down[j] > 0.0):
+        if (up_open and up[j] > 0.0) or (down_open and down[j] > 0.0):
             chosen.append(j)
-            su += g_up[j]
-            sd += g_down[j]
+            su += up[j]
+            sd += down[j]
     if not feasible.check(chosen):
-        chosen = list(range(m))
+        chosen = list(range(len(up)))
     su = float(g_up[chosen].sum())
     sd = float(g_down[chosen].sum())
     trimmed = []
     for j in chosen:
-        if su - g_up[j] >= need_up - eps and sd - g_down[j] >= need_down - eps:
-            su -= g_up[j]
-            sd -= g_down[j]
+        if su - up[j] >= need_up - eps and sd - down[j] >= need_down - eps:
+            su -= up[j]
+            sd -= down[j]
         else:
             trimmed.append(j)
     if not feasible.check(trimmed):
@@ -242,24 +255,26 @@ def _search_cover(
     """Best-first search over pinned-feature sets, few pins expected.
 
     Heap entries: (lower bound, insertion sequence, count, depth, sum_up,
-    sum_down, chosen positions).  Insertion order breaks bound ties, with
-    include-children pushed first so deterministic runs prefer lower indices
-    among equally good solutions.
+    sum_down, chosen), where ``chosen`` is the last pinned position linked
+    to its parent's chain, ``(position, chosen)``, or None.  Insertion order
+    breaks bound ties, with include-children pushed first so deterministic
+    runs prefer lower indices among equally good solutions.
     """
-    m = order.size
-    bounds = _SuffixBounds(g_up, g_down, eps)
+    sums = _TailSums(g_up, g_down, descending=True)
+    up, down = g_up.tolist(), g_down.tolist()
+    m = len(up)
     best_count = len(incumbent)
     best_set = incumbent
     seq = 0
     heap = []
-    root_lb = bounds.bound(0, need_up, need_down)
+    root_lb = _cover_bound(sums.at(0), need_up, need_down, eps)
     if root_lb < best_count:
-        heap.append((root_lb, seq, 0, 0, 0.0, 0.0, ()))
+        heap.append((root_lb, seq, 0, 0, 0.0, 0.0, None))
     nodes = 0
     optimal = True
 
     while heap:
-        lb, _, count, depth, su, sd, chosen = heapq.heappop(heap)
+        lb, _, count, j, su, sd, chosen = heappop(heap)
         if lb >= best_count:
             break  # best-first: nothing left can improve the incumbent
         if not deadline.alive(nodes):
@@ -267,33 +282,35 @@ def _search_cover(
             break
         nodes += 1
 
-        j = depth
         # Pin order[j].
-        c_su = su + g_up[j]
-        c_sd = sd + g_down[j]
+        c_su = su + up[j]
+        c_sd = sd + down[j]
         c_count = count + 1
-        c_chosen = chosen + (j,)
+        c_chosen = (j, chosen)
         settled = False
         if c_su >= need_up - eps and c_sd >= need_down - eps:
             # running sums say feasible; confirm on canonical sums
-            if feasible.check(c_chosen):
+            positions = _positions(c_chosen)
+            if feasible.check(positions):
                 settled = True
                 if c_count < best_count:
                     best_count = c_count
-                    best_set = list(c_chosen)
-        if not settled and depth + 1 < m:
-            clb = c_count + bounds.bound(depth + 1, need_up - c_su, need_down - c_sd)
-            if clb < best_count:
-                seq += 1
-                heapq.heappush(heap, (clb, seq, c_count, depth + 1, c_su, c_sd, c_chosen))
-        # Leave order[j] free.
-        if depth + 1 < m:
-            xlb = count + bounds.bound(depth + 1, need_up - su, need_down - sd)
+                    best_set = positions
+        depth = j + 1
+        if depth < m:
+            tail = sums.at(depth)
+            if not settled:
+                clb = c_count + _cover_bound(tail, need_up - c_su, need_down - c_sd, eps)
+                if clb < best_count:
+                    seq += 1
+                    heappush(heap, (clb, seq, c_count, depth, c_su, c_sd, c_chosen))
+            # Leave order[j] free.
+            xlb = count + _cover_bound(tail, need_up - su, need_down - sd, eps)
             if xlb < best_count:
                 seq += 1
-                heapq.heappush(heap, (xlb, seq, count, depth + 1, su, sd, chosen))
+                heappush(heap, (xlb, seq, count, depth, su, sd, chosen))
 
-    selected = tuple(sorted(int(order[p]) for p in best_set))
+    selected = tuple(np.sort(order[_mask(m, best_set, True)]).tolist())
     return selected, len(best_set), nodes, optimal
 
 
@@ -307,20 +324,21 @@ def _search_pack(
     c_down[j]) of the slack budgets, and the goal is to remove as many as
     possible.  Maximization mirror of _search_cover.
     """
-    m = order.size
-    bounds = _PackBounds(c_up, c_down, eps)
+    sums = _TailSums(c_up, c_down, descending=False)
+    up, down = c_up.tolist(), c_down.tolist()
+    m = len(up)
     best_removed = removable
     best_count = len(removable)
     seq = 0
     heap = []
-    root_ub = bounds.bound(0, budget_up, budget_down)
+    root_ub = _pack_bound(sums.at(0), budget_up, budget_down, eps)
     if root_ub > best_count:
-        heap.append((-root_ub, seq, 0, 0, 0.0, 0.0, ()))
+        heap.append((-root_ub, seq, 0, 0, 0.0, 0.0, None))
     nodes = 0
     optimal = True
 
     while heap:
-        neg_ub, _, count, depth, ru, rd, removed = heapq.heappop(heap)
+        neg_ub, _, count, j, ru, rd, removed = heappop(heap)
         if -neg_ub <= best_count:
             break
         if not deadline.alive(nodes):
@@ -328,34 +346,32 @@ def _search_pack(
             break
         nodes += 1
 
-        j = depth
+        depth = j + 1
+        tail = sums.at(depth) if depth < m else None
         # Remove order[j].
-        c_ru = ru + c_up[j]
-        c_rd = rd + c_down[j]
+        c_ru = ru + up[j]
+        c_rd = rd + down[j]
         if c_ru <= budget_up + eps and c_rd <= budget_down + eps:
-            c_removed = removed + (j,)
+            c_removed = (j, removed)
             c_count = count + 1
             if c_count > best_count:
-                gone = set(c_removed)
-                if feasible.check([p for p in range(m) if p not in gone]):
+                positions = _positions(c_removed)
+                if feasible.check(_mask(m, positions, False)):
                     best_count = c_count
-                    best_removed = list(c_removed)
-            if depth + 1 < m:
-                cub = c_count + bounds.bound(depth + 1, budget_up - c_ru, budget_down - c_rd)
+                    best_removed = positions
+            if tail is not None:
+                cub = c_count + _pack_bound(tail, budget_up - c_ru, budget_down - c_rd, eps)
                 if cub > best_count:
                     seq += 1
-                    heapq.heappush(
-                        heap, (-cub, seq, c_count, depth + 1, c_ru, c_rd, c_removed)
-                    )
+                    heappush(heap, (-cub, seq, c_count, depth, c_ru, c_rd, c_removed))
         # Keep order[j] pinned.
-        if depth + 1 < m:
-            xub = count + bounds.bound(depth + 1, budget_up - ru, budget_down - rd)
+        if tail is not None:
+            xub = count + _pack_bound(tail, budget_up - ru, budget_down - rd, eps)
             if xub > best_count:
                 seq += 1
-                heapq.heappush(heap, (-xub, seq, count, depth + 1, ru, rd, removed))
+                heappush(heap, (-xub, seq, count, depth, ru, rd, removed))
 
-    removed_set = set(best_removed)
-    selected = tuple(sorted(int(order[p]) for p in range(m) if p not in removed_set))
+    selected = tuple(np.sort(order[_mask(m, best_removed, False)]).tolist())
     return selected, m - best_count, nodes, optimal
 
 
@@ -411,46 +427,24 @@ def solve_rejection_ilp(
     pair_min = np.minimum(gain_up[active], gain_down[active])
     cover_order = active[np.lexsort((active, -pair_min))]
     cover_feasible = _Feasibility(cover_order, gain_up, gain_down, need_up, need_down, eps)
-    incumbent = _greedy_incumbent(
-        cover_order.size,
-        gain_up[cover_order],
-        gain_down[cover_order],
-        need_up,
-        need_down,
-        cover_feasible,
-        eps,
-    )
+    cover_up, cover_down = gain_up[cover_order], gain_down[cover_order]
+    incumbent = _greedy_incumbent(cover_up, cover_down, need_up, need_down, cover_feasible, eps)
 
     if 2 * len(incumbent) <= active.size:
         selected, objective, nodes, optimal = _search_cover(
-            cover_order,
-            gain_up[cover_order],
-            gain_down[cover_order],
-            need_up,
-            need_down,
-            incumbent,
-            cover_feasible,
-            deadline,
-            eps,
+            cover_order, cover_up, cover_down, need_up, need_down,
+            incumbent, cover_feasible, deadline, eps,
         )
     else:
         # Complement view: cheapest-to-free features first, ties by index.
         pack_order = active[np.lexsort((active, gain_up[active] + gain_down[active]))]
         pack_feasible = _Feasibility(pack_order, gain_up, gain_down, need_up, need_down, eps)
-        incumbent_originals = {int(cover_order[p]) for p in incumbent}
-        removable = [
-            p for p in range(pack_order.size) if int(pack_order[p]) not in incumbent_originals
-        ]
+        pinned = _mask(gain_up.size, cover_order[incumbent], True)
+        removable = np.flatnonzero(~pinned[pack_order]).tolist()
         selected, objective, nodes, optimal = _search_pack(
-            pack_order,
-            gain_up[pack_order],
-            gain_down[pack_order],
-            total_up - need_up,
-            total_down - need_down,
-            removable,
-            pack_feasible,
-            deadline,
-            eps,
+            pack_order, gain_up[pack_order], gain_down[pack_order],
+            total_up - need_up, total_down - need_down,
+            removable, pack_feasible, deadline, eps,
         )
 
     return IlpSolution(

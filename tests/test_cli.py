@@ -400,6 +400,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--cases", "-1"], "--cases must be at least 0, got -1"),
+            (["--cases", "3", "--max-n", "1"], "--max-n must be at least 2, got 1"),
+        ],
+        ids=["cases", "max-n"],
+    )
+    def test_bad_verify_count_is_input_error(self, capsys, args, message):
+        code = cli.main(["verify", *args])
+        assert code == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--data", str(tmp_path / "nope.csv"), "--out-model", str(tmp_path / "m.json")]

@@ -11,7 +11,11 @@ import pytest
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 from minaxp import (
+    ExplanationKind,
+    Instance,
     Label,
+    LinearModel,
+    RejectClassifier,
     build_rejection_ilp,
     coefficient_profile,
     explain_negative,
@@ -19,7 +23,10 @@ from minaxp import (
     predict,
     random_case,
     solve_rejection_ilp,
+    unit_box,
 )
+from minaxp.model import cover_problem
+from minaxp.rejected import RejectionIlp
 
 EPS = 1e-9
 
@@ -70,3 +77,76 @@ def test_greedy_matches_external_milp():
             required = profile.baseline_max - clf.t_minus
         external = _milp_min_count([gains], [required - EPS], [np.inf], n)
         assert explanation.size == external
+
+
+def _highs_minimum(gains, need):
+    """HiGHS's proven minimum count with ``gains @ z >= need``, and its selection."""
+    n = gains.shape[1]
+    result = scipy_opt.milp(
+        c=np.ones(n),
+        constraints=scipy_opt.LinearConstraint(gains, need, np.inf),
+        integrality=np.ones(n),
+        bounds=scipy_opt.Bounds(0, 1),
+        options={"mip_rel_gap": 0.0, "time_limit": 60.0},
+    )
+    assert result.status == 0, result.message
+    return int(round(result.fun)), np.flatnonzero(result.x > 0.5)
+
+
+def _rejection_minimum(problem):
+    """Bounds ``(low, high)`` on the minimum explanation size of a rejection.
+
+    HiGHS may accept a selection that misses a row by its own feasibility
+    tolerance, so the optimum it proves is a lower bound.  When its
+    selection also passes the exact check, that is the minimum; otherwise
+    a solve with both requirements raised gives an upper bound.
+    """
+    gains = np.vstack([problem.gain_up, problem.gain_down])
+    need = np.array([problem.need_up, problem.need_down]) - EPS
+    low, picked = _highs_minimum(gains, need)
+    if problem.holds(picked, EPS):
+        return low, low
+    high, _ = _highs_minimum(gains, need + 1e-6 * np.maximum(1.0, np.abs(need)))
+    return low, high
+
+
+def _row_in_band(rng, model, t_minus, t_plus):
+    """A uniform row of the unit box whose score lies clear inside the band."""
+    while True:
+        X = rng.uniform(0.0, 1.0, (256, model.n_features))
+        s = X @ model.weights + model.bias
+        inside = np.flatnonzero((s > t_minus + 1e-6) & (s < t_plus - 1e-6))
+        if inside.size:
+            return X[inside[0]]
+
+
+def _wide_rejected_cases():
+    """Ten rows on uniform weights and a narrow band of +-0.125, as in the
+    benchmark's reject-pack, and ten whose band runs from the 45th to the
+    55th percentile of the model's scores on 2,000 uniform rows.  Both pin
+    nearly every feature, so the solver searches the pack view."""
+    rng = np.random.default_rng(63)
+    for n in np.linspace(100, 400, 10).astype(int).tolist():
+        for band in ("narrow", "percentile"):
+            weights = rng.uniform(-1.0, 1.0, n)
+            model = LinearModel(weights, -0.5 * float(weights.sum()), unit_box(n))
+            if band == "narrow":
+                t_minus, t_plus = -0.125, 0.125
+            else:
+                scores = rng.uniform(0.0, 1.0, (2000, n)) @ weights + model.bias
+                t_minus, t_plus = (float(t) for t in np.percentile(scores, [45, 55]))
+            clf = RejectClassifier(model, t_minus, t_plus)
+            instance = Instance.validated(model, _row_in_band(rng, model, t_minus, t_plus))
+            yield cover_problem(clf, instance).expect(ExplanationKind.REJECTION)
+
+
+def test_rejection_solver_matches_external_milp_beyond_100_features():
+    exact = 0
+    for problem in _wide_rejected_cases():
+        ours = solve_rejection_ilp(RejectionIlp.of(problem))
+        assert ours.optimal
+        assert problem.holds(np.asarray(ours.selected, dtype=np.intp), EPS)
+        low, high = _rejection_minimum(problem)
+        assert low <= ours.objective <= high
+        exact += low == high
+    assert exact >= 15  # HiGHS's own selection passed the exact check
