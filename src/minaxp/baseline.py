@@ -9,6 +9,8 @@ explainers are measured against.
 
 from __future__ import annotations
 
+from array import array
+
 from .model import (
     DEFAULT_EPSILON,
     CoverProblem,
@@ -20,9 +22,9 @@ from .model import (
 )
 
 
-def _walk_down(start: float, gains: list, limit: float) -> list[int]:
+def _walk_down(start: float, gains: list, limit: float) -> array:
     """Indices kept by dropping, in order, every gain ``start`` can lose and stay >= ``limit``."""
-    kept = []
+    kept = array("q")
     for j, gain in enumerate(gains):
         if start - gain >= limit:
             start -= gain
@@ -50,7 +52,7 @@ def deletion_explanation(problem: CoverProblem, eps: float = DEFAULT_EPSILON) ->
         kept = _walk_down(-problem.score, problem.gain_up.tolist(), -ceiling)
     else:
         smax = smin = problem.score
-        kept = []
+        kept = array("q")
         gains = zip(problem.gain_up.tolist(), problem.gain_down.tolist())
         for j, (up, down) in enumerate(gains):
             trial_max = smax + up

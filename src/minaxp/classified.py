@@ -3,14 +3,18 @@
 Pinning a feature raises the worst-case lower score bound by its gain
 ``gain_down`` (positive case) or lowers the upper bound by ``gain_up``
 (negative case).  Because every feature costs one unit and gains add up
-independently, sorting features by gain and taking the shortest prefix that
-covers the required margin yields an explanation of provably minimum size,
-at O(n log n) cost dominated by the sort.
+independently, the shortest prefix of the gains sorted largest first that
+covers the required margin is an explanation of provably minimum size, at
+O(n log n) cost: one sort of the values.  Equal gains are equal floats, so
+the prefix length k does not depend on the tie order.  The explanation is
+every gain above the k-th largest plus the lowest-indexed ones equal to it,
+the first k of the order by gain descending, index ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,48 +33,52 @@ from .model import (
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Diagnostic record of one greedy run.
-
-    ``ordered_indices`` is the full feature permutation in selection order
-    (gain descending, index ascending on ties), ``gains`` the gain values in
-    that order, and ``prefix_length`` the number of leading features needed
-    to cover ``required_margin``.
+    """Diagnostic record of one greedy run: the gains by feature index, the
+    margin they must cover and the number of leading features that cover it.
+    ``ordered_indices``, the selection order (gain descending, index ascending
+    on ties), and ``gains`` in that order are sorted out on first read.
     """
 
-    ordered_indices: np.ndarray
-    gains: np.ndarray
+    feature_gains: np.ndarray
     required_margin: float
     prefix_length: int
 
+    @cached_property
+    def ordered_indices(self) -> np.ndarray:
+        return np.argsort(-self.feature_gains, kind="stable")
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        return self.feature_gains[self.ordered_indices]
+
 
 def _greedy_prefix(
-    gains: np.ndarray, required_margin: float, kind: ExplanationKind, eps: float
+    gains: np.ndarray, work: tuple, required_margin: float, kind: ExplanationKind, eps: float
 ) -> tuple[Explanation, GreedyTrace]:
-    n = gains.size
-    # Primary key: gain descending; tie-break: index ascending, which a
-    # stable sort keeps from the input order.
-    keys = -gains
-    order = np.argsort(keys, kind="stable")
-    ordered_gains = gains[order]
     if required_margin <= eps:
-        k = 0
+        chosen = np.empty(0, dtype=np.intp)
     else:
-        # The sort keys are spent; their buffer takes the prefix sums.
-        prefix_sums = np.cumsum(ordered_gains, out=keys)
-        pos = int(np.searchsorted(prefix_sums, required_margin - eps, side="left"))
-        if pos >= n:
+        # The work rows share one block with the gains, so a call
+        # allocates nothing of length n but the index set.
+        ascending, prefix_sums = work
+        np.copyto(ascending, gains)
+        ascending.sort()
+        np.add.accumulate(ascending[::-1], out=prefix_sums)
+        k = int(np.searchsorted(prefix_sums, required_margin - eps, side="left")) + 1
+        if k > gains.size:
             raise LabelMismatchError(
                 "margin not coverable by any feature subset; instance cannot carry this label"
             )
-        k = pos + 1
-    explanation = Explanation(indices=np.sort(order[:k]), kind=kind, certified_minimum=True)
-    trace = GreedyTrace(
-        ordered_indices=order,
-        gains=ordered_gains,
-        required_margin=float(required_margin),
-        prefix_length=k,
-    )
-    return explanation, trace
+        kth = ascending[-k]
+        # The prefix sums are spent; their row takes the mask.
+        mask = np.greater_equal(gains, kth, out=prefix_sums.view(np.bool_)[: gains.size])
+        chosen = mask.nonzero()[0]
+        if chosen.size > k:  # surplus ties at the k-th value: keep the lowest-indexed
+            ties = chosen[gains[chosen] == kth]
+            mask[ties[k - chosen.size :]] = False
+            chosen = mask.nonzero()[0]
+    trace = GreedyTrace(gains, float(required_margin), chosen.size)
+    return Explanation(indices=chosen, kind=kind, certified_minimum=True), trace
 
 
 def greedy_explanation(
@@ -79,8 +87,10 @@ def greedy_explanation(
     """Minimum-size explanation of a classified problem: the greedy over its
     one constrained side, ``gain_down`` for POSITIVE and ``gain_up`` for NEGATIVE."""
     if problem.label is Label.POSITIVE:
-        return _greedy_prefix(problem.gain_down, problem.need_down, ExplanationKind.POSITIVE, eps)
-    return _greedy_prefix(problem.gain_up, problem.need_up, ExplanationKind.NEGATIVE, eps)
+        gains, need, kind = problem.gain_down, problem.need_down, ExplanationKind.POSITIVE
+    else:
+        gains, need, kind = problem.gain_up, problem.need_up, ExplanationKind.NEGATIVE
+    return _greedy_prefix(gains, problem.work, need, kind, eps)
 
 
 def explain_positive(
@@ -92,13 +102,11 @@ def explain_positive(
     ``t_plus - baseline_min``; the pinned set keeps the worst-case lower
     score bound at or above ``t_plus``.
     """
-    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.POSITIVE)
-    return greedy_explanation(problem, eps)
+    return greedy_explanation(cover_problem(clf, instance, eps).expect(ExplanationKind.POSITIVE), eps)
 
 
 def explain_negative(
     clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
 ) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a NEGATIVE prediction (mirror of the positive case)."""
-    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.NEGATIVE)
-    return greedy_explanation(problem, eps)
+    return greedy_explanation(cover_problem(clf, instance, eps).expect(ExplanationKind.NEGATIVE), eps)

@@ -12,27 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .model import LinearModel, RejectClassifier
-
-REPORT_RECORD_FIELDS = (
-    "instance_id",
-    "label",
-    "score",
-    "kind",
-    "indices",
-    "size",
-    "certified_minimum",
-    "method",
-    "time_ms",
-    "nodes",
-    "boundary_tight",
-)
-
 
 class ModelFormatError(ValueError):
     """A model file is missing fields or violates an invariant."""
@@ -307,6 +292,9 @@ class ExplanationRecord:
     time_ms: float
     nodes: int | None = None
     boundary_tight: bool = False
+
+
+REPORT_RECORD_FIELDS = tuple(field.name for field in fields(ExplanationRecord))
 
 
 def _group_stats(records: list[ExplanationRecord]) -> dict:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from .baseline import deletion_explanation
 from .classified import greedy_explanation
 from .dataio import ExplanationRecord
@@ -45,8 +43,7 @@ def boundary_tight(
     arguable under a strict one; reports flag them for inspection.  The
     explanation's kind must be the one the instance's prediction calls for.
     """
-    problem = cover_problem(clf, instance, eps).expect(explanation.kind)
-    return problem.tight(np.asarray(explanation.indices, dtype=np.intp), eps)
+    return cover_problem(clf, instance, eps).expect(explanation.kind).tight(explanation.index_array, eps)
 
 
 def explain_instance(
@@ -67,26 +64,13 @@ def explain_instance(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     problem = cover_problem(clf, instance, eps)
 
-    def record(explanation, name, elapsed_ms, nodes):
-        return ExplanationRecord(
-            instance_id=instance_id,
-            label=problem.label.value,
-            score=problem.score,
-            kind=explanation.kind.value,
-            indices=explanation.indices,
-            size=explanation.size,
-            certified_minimum=explanation.certified_minimum,
-            method=name,
-            time_ms=elapsed_ms,
-            nodes=nodes,
-            boundary_tight=problem.tight(np.asarray(explanation.indices, dtype=np.intp), eps),
-        )
-
     records = []
-    if method in ("minabro", "both"):
+    for name in ("minabro", "baseline") if method == "both" else (method,):
         nodes = None
         start = time.perf_counter()
-        if problem.label is Label.REJECT:
+        if name == "baseline":
+            explanation = deletion_explanation(problem, eps)
+        elif problem.label is Label.REJECT:
             solution = solve_rejection_ilp(
                 RejectionIlp.of(problem), node_limit=node_limit, time_limit=time_limit, eps=eps
             )
@@ -95,10 +79,9 @@ def explain_instance(
         else:
             explanation, _ = greedy_explanation(problem, eps)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        records.append(record(explanation, "minabro", elapsed_ms, nodes))
-    if method in ("baseline", "both"):
-        start = time.perf_counter()
-        explanation = deletion_explanation(problem, eps)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        records.append(record(explanation, "baseline", elapsed_ms, None))
+        records.append(ExplanationRecord(
+            instance_id, problem.label.value, problem.score, explanation.kind.value,
+            explanation.indices, explanation.size, explanation.certified_minimum, name,
+            elapsed_ms, nodes, problem.tight(explanation.index_array, eps),
+        ))
     return records

@@ -12,6 +12,7 @@ others range freely over their domains.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -255,31 +256,47 @@ class CoefficientProfile:
         return self.beta.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Explanation:
     """A set of pinned feature indices sufficient to lock in a prediction.
 
     ``indices`` may be any sorted, duplicate-free integer sequence, an index
-    array included; it is stored as a tuple of Python ints.
+    array included.  It is kept as the intp array ``index_array``; ``indices``
+    builds its tuple of Python ints on first read.
     """
 
-    indices: tuple[int, ...]
+    index_array: np.ndarray
     kind: ExplanationKind
     certified_minimum: bool
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("explanation indices must be a flat sequence")
+    def __init__(self, indices: Iterable[int], kind: ExplanationKind, certified_minimum: bool):
+        idx = _as_index_array(indices)
         if (idx[1:] <= idx[:-1]).any():
             raise ValueError("explanation indices must be sorted and duplicate-free")
         if idx.size and idx[0] < 0:
             raise ValueError("explanation indices must be non-negative")
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        object.__setattr__(self, "index_array", idx)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "certified_minimum", certified_minimum)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        if "_indices" not in self.__dict__:  # by hand: cached_property locks on first read
+            self.__dict__["_indices"] = tuple(self.index_array.tolist())
+        return self.__dict__["_indices"]
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.index_array.size
+
+    def _key(self):
+        return self.indices, self.kind, self.certified_minimum
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def score(model: LinearModel, instance: Instance) -> float:
@@ -338,6 +355,7 @@ class CoverProblem:
     bottom: float
     ceiling: float
     floor: float
+    work: tuple[np.ndarray, np.ndarray] = field(repr=False)  # the greedy's rows: one thread at a time
 
     def expect(self, kind: ExplanationKind) -> "CoverProblem":
         """This problem, once its label is known to call for ``kind``."""
@@ -385,12 +403,15 @@ def cover_problem(
     else:
         ceiling, floor = clf.t_plus, clf.t_minus
     model = clf.model
-    # IEEE multiplication is monotone, so the gains are non-negative in
-    # floating point as well, no clamping needed.
-    beta = model.weights * instance.values
+    # The gains and the greedy's work rows share one block: separate n-length
+    # arrays get trimmed off the heap and faulted back in on every call.  IEEE
+    # multiplication is monotone, so the gains are non-negative as computed.
+    block = np.empty((4, model.n_features))
+    beta = np.multiply(model.weights, instance.values, block[2])
     return CoverProblem(
-        pred.label, _KIND_FOR_LABEL[pred.label], pred.score, model.alpha_max - beta,
-        beta - model.alpha_min, model.top, model.bottom, ceiling, floor,
+        pred.label, _KIND_FOR_LABEL[pred.label], pred.score,
+        np.subtract(model.alpha_max, beta, block[0]), np.subtract(beta, model.alpha_min, block[1]),
+        model.top, model.bottom, ceiling, floor, (beta, block[3]),
     )
 
 
@@ -404,10 +425,23 @@ def coefficient_profile(clf: RejectClassifier, instance: Instance) -> Coefficien
     )
 
 
-def _as_index_array(fixed: Iterable[int], n: int) -> np.ndarray:
-    idx = np.unique(np.asarray(list(fixed), dtype=int))
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise IndexError(f"fixed index out of range for {n} features")
+def _as_index_array(values: Iterable[int], n: int | None = None) -> np.ndarray:
+    """``values`` as a flat intp array, refusing floats and booleans rather than
+    truncating them; given ``n``, made distinct and checked against ``range(n)``."""
+    if not isinstance(values, (np.ndarray, array)):
+        values = list(values)
+        if {bool, np.bool_} & set(map(type, values)):
+            raise ValueError("feature indices must be integers, not booleans")
+    idx = np.asarray(values)
+    if idx.ndim != 1:
+        raise ValueError("feature indices must be a flat sequence")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"feature indices must be integers, got {idx.dtype} values")
+    idx = idx.astype(np.intp, copy=False)
+    if n is not None:
+        idx = np.unique(idx)
+        if idx.size and (idx[0] < 0 or idx[-1] >= n):
+            raise IndexError(f"fixed index out of range for {n} features")
     return idx
 
 

@@ -21,6 +21,7 @@ from .model import (
     Label,
     LinearModel,
     RejectClassifier,
+    _as_index_array,
     cover_problem,
     predict,
     validate_instance,
@@ -88,9 +89,7 @@ def sampled_sufficiency_check(
     validate_instance(model, instance)
     n = model.n_features
     fixed_mask = np.zeros(n, dtype=bool)
-    fixed_idx = np.asarray(list(fixed), dtype=int)
-    if fixed_idx.size:
-        fixed_mask[fixed_idx] = True
+    fixed_mask[_as_index_array(fixed, n)] = True
     free = np.flatnonzero(~fixed_mask)
 
     points = _corner_completions(model, instance.values, free)

@@ -447,13 +447,7 @@ def solve_rejection_ilp(
             removable, pack_feasible, deadline, eps,
         )
 
-    return IlpSolution(
-        selected=selected,
-        objective=objective,
-        optimal=optimal,
-        nodes_explored=nodes,
-        solve_time=time.perf_counter() - start,
-    )
+    return IlpSolution(selected, objective, optimal, nodes, time.perf_counter() - start)
 
 
 def lift_solution(
@@ -465,18 +459,10 @@ def lift_solution(
     the solver's selection fail the closed-form check, fall back to the full
     feature set (always valid) and drop the optimality claim.
     """
-    explanation = Explanation(
-        indices=solution.selected,
-        kind=ExplanationKind.REJECTION,
-        certified_minimum=solution.optimal,
-    )
-    if not problem.holds(np.asarray(explanation.indices, dtype=np.intp), eps):
-        explanation = Explanation(
-            indices=np.arange(problem.gain_up.size),
-            kind=ExplanationKind.REJECTION,
-            certified_minimum=False,
-        )
-    return explanation
+    explanation = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
+    if problem.holds(explanation.index_array, eps):
+        return explanation
+    return Explanation(np.arange(problem.gain_up.size), ExplanationKind.REJECTION, False)
 
 
 def explanation_from_solution(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minaxp import (
+    DEFAULT_EPSILON,
     ExplanationKind,
     Instance,
     Label,
@@ -9,12 +10,17 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
+    coefficient_profile,
+    explain_instance,
     explain_negative,
     explain_positive,
     is_valid_explanation,
     random_case,
+    s_max,
+    s_min,
     unit_box,
 )
+from minaxp.classified import _greedy_prefix
 
 
 class TestExplainPositive:
@@ -141,3 +147,88 @@ def test_deterministic_output(pos3_case):
     first, _ = explain_positive(clf, instance)
     second, _ = explain_positive(clf, instance)
     assert first == second
+
+
+def _reference_prefix(gains, required_margin, eps=DEFAULT_EPSILON):
+    """The greedy by a stable index sort: the shortest prefix of the order by
+    gain descending, index ascending whose running sum covers the margin."""
+    order = np.argsort(-gains, kind="stable")
+    if required_margin <= eps:
+        return order, ()
+    pos = int(np.searchsorted(np.cumsum(gains[order]), required_margin - eps, side="left"))
+    if pos >= gains.size:
+        return order, None
+    return order, tuple(np.sort(order[: pos + 1]).tolist())
+
+
+def test_value_sort_matches_stable_index_sort_reference():
+    rng = np.random.default_rng(2024)
+    uncoverable = ties = 0
+    for case in range(3000):
+        n = int(rng.integers(1, 201))
+        if case % 2:
+            gains = rng.integers(0, 9, n) * 0.25  # quarter steps: many ties, sums exact
+        else:
+            gains = rng.exponential(1.0, n)
+        total = float(gains.sum())
+        draw = rng.random()
+        if draw < 0.05:
+            need = float(rng.choice([0.0, -1.0, DEFAULT_EPSILON]))
+        elif draw < 0.15:
+            need = total + float(rng.choice([0.25, 1.0, 2 * DEFAULT_EPSILON]))
+        elif case % 2:
+            need = float(rng.integers(0, 4 * total + 2)) * 0.25
+        else:
+            need = float(rng.uniform(0.0, total))
+        kind = ExplanationKind.POSITIVE if case % 3 else ExplanationKind.NEGATIVE
+        work = rng.normal(size=(2, n))  # stale contents must not matter
+        order, want = _reference_prefix(gains, need)
+        if want is None:
+            uncoverable += 1
+            with pytest.raises(LabelMismatchError):
+                _greedy_prefix(gains, work, need, kind, DEFAULT_EPSILON)
+            continue
+        explanation, trace = _greedy_prefix(gains, work, need, kind, DEFAULT_EPSILON)
+        assert explanation.indices == want, case
+        assert explanation.kind is kind and explanation.certified_minimum
+        assert trace.prefix_length == len(want)
+        np.testing.assert_array_equal(trace.ordered_indices, order)
+        np.testing.assert_array_equal(trace.gains, gains[order])
+        if want and np.count_nonzero(gains == gains[order[len(want) - 1]]) > 1:
+            ties += 1
+    assert uncoverable > 100 and ties > 500
+
+
+@pytest.mark.parametrize("label", [Label.POSITIVE, Label.NEGATIVE])
+def test_tied_wide_rows_match_reference_through_explain_instance(label):
+    rng = np.random.default_rng(16384)
+    n = 16384
+    sign = 1.0 if label is Label.POSITIVE else -1.0
+    for row in range(6):
+        # Quarter-step weights on 0/1 values: gains take five values, so the
+        # k-th largest is tied thousands of times.  On even rows the margin
+        # is a sum of leading gains, met exactly; odd rows miss it by 1/8.
+        weights = sign * rng.integers(1, 5, n) * 0.25
+        values = rng.integers(0, 2, n).astype(float)
+        model = LinearModel(weights, 0.0, unit_box(n))
+        gains = np.abs(weights) * values
+        m = int(rng.integers(1, 0.9 * np.count_nonzero(gains)))
+        cut = float(np.sort(gains)[::-1][:m].sum()) + 0.125 * (row % 2)
+        if label is Label.POSITIVE:
+            clf = RejectClassifier(model, cut - 1.0, cut)
+        else:
+            clf = RejectClassifier(model, -cut, -cut + 1.0)
+        instance = Instance.validated(model, values)
+        (record,) = explain_instance(clf, instance, row)
+        assert record.label == label.value
+        _, want = _reference_prefix(gains, cut)
+        assert record.indices == want
+        assert type(record.indices) is tuple and all(type(j) is int for j in record.indices)
+        assert record.size == len(want)
+        profile = coefficient_profile(clf, instance)
+        if label is Label.POSITIVE:
+            tight = abs(s_min(profile, want) - clf.t_plus) <= DEFAULT_EPSILON
+        else:
+            tight = abs(s_max(profile, want) - clf.t_minus) <= DEFAULT_EPSILON
+        assert record.boundary_tight == tight
+        assert tight == (row % 2 == 0)

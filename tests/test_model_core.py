@@ -218,6 +218,44 @@ class TestConstructionInvariants:
         with pytest.raises(ValueError):
             Explanation(bad, ExplanationKind.POSITIVE, True)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.7, 1.2], (0.0, 1.0), np.array([0.0, 2.0]), [1, 2.5], [True, 2], (0, np.True_),
+         [True], np.array([True, False]), ["0", "1"]],
+    )
+    def test_float_and_bool_indices_refused(self, bad, pos3_case):
+        # These used to be truncated or cast: [0.7, 1.2] became (0, 1).
+        with pytest.raises(ValueError, match="integers"):
+            Explanation(bad, ExplanationKind.POSITIVE, True)
+        clf, instance = pos3_case
+        with pytest.raises(ValueError, match="integers"):
+            is_valid_explanation(clf, instance, bad, ExplanationKind.POSITIVE)
+        profile = coefficient_profile(clf, instance)
+        for bound in (s_max, s_min):
+            with pytest.raises(ValueError, match="integers"):
+                bound(profile, bad)
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([]), np.array([], dtype=bool), range(0)])
+    def test_empty_indices_accepted(self, empty, pos3_case):
+        assert Explanation(empty, ExplanationKind.POSITIVE, True).indices == ()
+        clf, instance = pos3_case
+        assert not is_valid_explanation(clf, instance, empty, ExplanationKind.POSITIVE)
+        profile = coefficient_profile(clf, instance)
+        assert s_min(profile, empty) == profile.baseline_min
+
+    def test_explanation_keeps_an_index_array(self):
+        given = np.array([0, 2, 5], dtype=np.uint16)
+        explanation = Explanation(given, ExplanationKind.NEGATIVE, False)
+        assert explanation.index_array.dtype == np.intp
+        np.testing.assert_array_equal(explanation.index_array, [0, 2, 5])
+        assert explanation.size == 3 and type(explanation.size) is int
+        same = Explanation([0, 2, 5], ExplanationKind.NEGATIVE, False)
+        assert explanation == same and hash(explanation) == hash(same)
+        assert explanation != Explanation([0, 2, 5], ExplanationKind.NEGATIVE, True)
+        assert explanation != Explanation([0, 2], ExplanationKind.NEGATIVE, False)
+        assert explanation != (0, 2, 5)
+        assert explanation.indices is explanation.indices  # built once
+
 
 def _random_setup(rng, n):
     weights = rng.uniform(-2.0, 2.0, n)

@@ -71,6 +71,16 @@ class TestSampledSufficiency:
             clf, instance, [0, 1], ExplanationKind.REJECTION, trials=1
         )
 
+    def test_indices_follow_the_explanation_rules(self, pos3_case):
+        # [0.9] used to be truncated to feature 0 and [-1] to wrap round to
+        # feature 2; both now fail as in is_valid_explanation.
+        clf, instance = pos3_case
+        with pytest.raises(ValueError, match="integers"):
+            sampled_sufficiency_check(clf, instance, [0.9], ExplanationKind.POSITIVE)
+        with pytest.raises(IndexError):
+            sampled_sufficiency_check(clf, instance, [-1], ExplanationKind.POSITIVE)
+        assert sampled_sufficiency_check(clf, instance, [0, 0], ExplanationKind.POSITIVE)
+
     def test_trials_must_be_positive(self, band_case):
         clf, instance = band_case
         with pytest.raises(ValueError):
