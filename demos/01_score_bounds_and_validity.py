@@ -1,8 +1,9 @@
 """Worst-case score bounds: why pinning features locks a prediction in.
 
 A tiny two-feature model shows the machinery every explainer builds on:
-the reachable score interval [s_min, s_max] for a pinned feature set, and
-how an explanation is just a pinned set whose interval clears the right
+each feature's gains (how far pinning it moves the worst-case score bounds),
+the reachable score interval for a pinned feature set, and how an
+explanation is just a pinned set whose interval clears the right
 threshold(s).
 """
 
@@ -13,11 +14,9 @@ from minaxp import (
     Instance,
     LinearModel,
     RejectClassifier,
-    coefficient_profile,
+    cover_problem,
     is_valid_explanation,
     predict,
-    s_max,
-    s_min,
     unit_box,
 )
 
@@ -30,18 +29,17 @@ print(f"score(x) = {pred.score:+.2f}  ->  label {pred.label.value}")
 print(f"rejection band: [{clf.t_minus:+.2f}, {clf.t_plus:+.2f}]")
 print()
 
-profile = coefficient_profile(clf, x)
-print("per-feature contributions (free max / observed / free min):")
+problem = cover_problem(clf, x)
+print(f"nothing pinned, the score ranges over [{problem.bottom:+.2f}, {problem.top:+.2f}]")
+print("pinning a feature lowers the top by gain_up and raises the bottom by gain_down:")
 for j in range(model.n_features):
-    print(
-        f"  feature {j}: alpha_max={profile.alpha_max[j]:+.2f} "
-        f"beta={profile.beta[j]:+.2f} alpha_min={profile.alpha_min[j]:+.2f}"
-    )
+    print(f"  feature {j}: gain_up={problem.gain_up[j]:+.2f} gain_down={problem.gain_down[j]:+.2f}")
+print(f"staying rejected needs gain_up >= {problem.need_up:+.2f} and gain_down >= {problem.need_down:+.2f}")
 print()
 
 print("reachable score interval per pinned set:")
 for pinned in ([], [0], [1], [0, 1]):
-    lo, hi = s_min(profile, pinned), s_max(profile, pinned)
+    hi, lo = problem.bounds(pinned)
     ok = is_valid_explanation(clf, x, pinned, ExplanationKind.REJECTION)
     print(f"  pinned {str(pinned):8s} -> [{lo:+.2f}, {hi:+.2f}]  still rejected for sure: {ok}")
 print()

@@ -1,8 +1,8 @@
 """Explaining a rejection exactly: the 0-1 program and its solver.
 
 A rejection explanation must keep the score inside the band from both
-sides, which makes it a two-constraint covering problem.  This demo builds
-the program, solves it with the built-in branch and bound, and contrasts the
+sides, which makes it a two-constraint covering problem over the
+per-feature gains.  This demo builds the program, solves it with the built-in branch and bound, and contrasts the
 result with the deletion-based subset-minimal baseline.
 """
 
@@ -12,7 +12,7 @@ from minaxp import (
     Instance,
     LinearModel,
     RejectClassifier,
-    build_rejection_ilp,
+    cover_problem,
     explain_rejection,
     predict,
     solve_rejection_ilp,
@@ -31,13 +31,13 @@ pred = predict(clf, x)
 print(f"score(x) = {pred.score:+.2f} inside [{clf.t_minus:+.2f}, {clf.t_plus:+.2f}]"
       f"  ->  {pred.label.value}")
 
-ilp = build_rejection_ilp(clf, x)
+problem = cover_problem(clf, x)
 print("\nprogram: minimize number of pinned features subject to")
-print(f"  sum_j z_j * {np.round(ilp.correction_up, 2)} <= {ilp.slack_up:+.2f}   (upper bound below t_plus)")
-print(f"  sum_j z_j * {np.round(ilp.correction_down, 2)} >= {ilp.slack_down:+.2f}   (lower bound above t_minus)")
+print(f"  sum_j z_j * {np.round(problem.gain_up, 2)} >= {problem.need_up:+.2f}   (upper bound below t_plus)")
+print(f"  sum_j z_j * {np.round(problem.gain_down, 2)} >= {problem.need_down:+.2f}   (lower bound above t_minus)")
 
-solution = solve_rejection_ilp(ilp)
-print(f"\nsolver: selected {list(solution.selected)}, objective {solution.objective}, "
+solution = solve_rejection_ilp(problem)
+print(f"\nsolver: selected {solution.selected.tolist()}, objective {solution.objective}, "
       f"optimal {solution.optimal}, nodes {solution.nodes_explored}")
 
 explanation = explain_rejection(clf, x)

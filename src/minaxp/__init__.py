@@ -37,7 +37,7 @@ from .dataio import (
 from .explain import boundary_tight, explain_instance
 from .model import (
     DEFAULT_EPSILON,
-    CoefficientProfile,
+    CoverProblem,
     DomainError,
     Explanation,
     ExplanationKind,
@@ -47,12 +47,10 @@ from .model import (
     LinearModel,
     Prediction,
     RejectClassifier,
-    coefficient_profile,
+    cover_problem,
     is_valid_explanation,
     kind_for_label,
     predict,
-    s_max,
-    s_min,
     score,
     unit_box,
     validate_instance,
@@ -67,8 +65,6 @@ from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
     IlpSolution,
-    RejectionIlp,
-    build_rejection_ilp,
     explain_rejection,
     solve_rejection_ilp,
 )
@@ -80,7 +76,7 @@ __all__ = [
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_TIME_LIMIT",
     "MAX_ORACLE_FEATURES",
-    "CoefficientProfile",
+    "CoverProblem",
     "Dataset",
     "DomainError",
     "Explanation",
@@ -96,7 +92,6 @@ __all__ = [
     "ModelFormatError",
     "Prediction",
     "RejectClassifier",
-    "RejectionIlp",
     "RiskConfig",
     "RiskReport",
     "ScalingInfo",
@@ -104,10 +99,9 @@ __all__ = [
     "aggregate_records",
     "boundary_tight",
     "brute_force_minimum",
-    "build_rejection_ilp",
     "calibrate_thresholds",
     "candidate_grid",
-    "coefficient_profile",
+    "cover_problem",
     "evaluate_risk",
     "explain_instance",
     "explain_negative",
@@ -120,8 +114,6 @@ __all__ = [
     "predict",
     "random_case",
     "read_explanation_report",
-    "s_max",
-    "s_min",
     "sampled_sufficiency_check",
     "save_model",
     "score",

@@ -98,9 +98,9 @@ def explain_positive(
 ) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a POSITIVE prediction.
 
-    The smallest gain-ordered prefix whose summed gains cover
-    ``t_plus - baseline_min``; the pinned set keeps the worst-case lower
-    score bound at or above ``t_plus``.
+    The smallest gain-ordered prefix whose summed ``gain_down`` covers
+    ``need_down = t_plus - bottom``; the pinned set keeps the worst-case
+    lower score bound at or above ``t_plus``.
     """
     return greedy_explanation(cover_problem(clf, instance, eps).expect(ExplanationKind.POSITIVE), eps)
 

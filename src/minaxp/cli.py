@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import RiskConfig, TrainConfig, calibrate_thresholds, train_logistic
-from .classified import explain_negative, explain_positive
 from .dataio import (
     Dataset,
     ExplanationRecord,
@@ -35,7 +34,7 @@ from .dataio import (
 from .explain import METHODS, explain_instance
 from .model import DEFAULT_EPSILON, DomainError, Instance, Label, predict
 from .oracle import brute_force_minimum, random_case
-from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, build_rejection_ilp, solve_rejection_ilp
+from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -233,14 +232,10 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _agrees_with_brute_force(clf, instance, label) -> bool:
-    """Whether the exact explainer finds (and, for a rejection, certifies) the minimum size."""
-    oracle = brute_force_minimum(clf, instance)
-    if label is Label.REJECT:
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
-        return solution.optimal and solution.objective == oracle.size
-    explain = explain_positive if label is Label.POSITIVE else explain_negative
-    return explain(clf, instance)[0].size == oracle.size
+def _agrees_with_brute_force(clf, instance) -> bool:
+    """Whether the record ``explain`` writes is certified and of the minimum size."""
+    (record,) = explain_instance(clf, instance, 0)
+    return record.certified_minimum and record.size == brute_force_minimum(clf, instance).size
 
 
 def _verify_random(args) -> tuple[int, int, int, int]:
@@ -249,10 +244,10 @@ def _verify_random(args) -> tuple[int, int, int, int]:
     for i in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
         label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
-        classified_ok += _agrees_with_brute_force(*random_case(rng, n, label), label)
+        classified_ok += _agrees_with_brute_force(*random_case(rng, n, label))
     for _ in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
-        rejected_ok += _agrees_with_brute_force(*random_case(rng, n, Label.REJECT), Label.REJECT)
+        rejected_ok += _agrees_with_brute_force(*random_case(rng, n, Label.REJECT))
     return classified_ok, args.cases, rejected_ok, args.cases
 
 
@@ -272,7 +267,7 @@ def _verify_data(args) -> tuple[int, int, int, int]:
         except DomainError:
             continue
         label = predict(clf, instance).label
-        ok = _agrees_with_brute_force(clf, instance, label)
+        ok = _agrees_with_brute_force(clf, instance)
         if label is Label.REJECT:
             rejected_total += 1
             rejected_ok += ok

@@ -23,7 +23,6 @@ from .model import (
 from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
-    RejectionIlp,
     lift_solution,
     solve_rejection_ilp,
 )
@@ -71,9 +70,7 @@ def explain_instance(
         if name == "baseline":
             explanation = deletion_explanation(problem, eps)
         elif problem.label is Label.REJECT:
-            solution = solve_rejection_ilp(
-                RejectionIlp.of(problem), node_limit=node_limit, time_limit=time_limit, eps=eps
-            )
+            solution = solve_rejection_ilp(problem, node_limit, time_limit, eps)
             explanation = lift_solution(problem, solution, eps)
             nodes = solution.nodes_explored
         else:

@@ -91,7 +91,8 @@ def _as_domain_array(domains) -> np.ndarray:
 class LinearModel:
     """Weight vector, bias and per-feature bounded domains.
 
-    Construction also works out, once per model, each feature's extreme
+    Construction also works out, once per model, the domain ends as
+    contiguous arrays (``lower`` / ``upper``), each feature's extreme
     contributions when free (``alpha_max`` / ``alpha_min``) and the score
     bounds with nothing pinned (``top`` / ``bottom``).  Arrays are not
     copied defensively; treat a constructed model as immutable.
@@ -100,6 +101,8 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     domains: np.ndarray  # shape (n, 2): lower / upper per feature
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
     alpha_max: np.ndarray = field(init=False, repr=False, compare=False)
     alpha_min: np.ndarray = field(init=False, repr=False, compare=False)
     top: float = field(init=False, repr=False, compare=False)
@@ -119,14 +122,15 @@ class LinearModel:
                 f"weights ({w.size}) and domains ({dom.shape[0]}) must have identical length"
             )
         bias = float(self.bias)
+        lower, upper = dom[:, 0].copy(), dom[:, 1].copy()  # contiguous, for the per-row domain check
         # The free maximum of w_j * x_j is at the upper end of the domain for
         # w_j >= 0, at the lower end otherwise.  Every reachable score lies
         # between top and bottom and every sum of gains is at most their
         # span: all finite once these three are.
         with np.errstate(over="ignore", invalid="ignore"):
             nonneg = w >= 0.0
-            alpha_max = np.where(nonneg, w * dom[:, 1], w * dom[:, 0])
-            alpha_min = np.where(nonneg, w * dom[:, 0], w * dom[:, 1])
+            alpha_max = np.where(nonneg, w * upper, w * lower)
+            alpha_min = np.where(nonneg, w * lower, w * upper)
             top = float(bias + alpha_max.sum())
             bottom = float(bias + alpha_min.sum())
             span = (alpha_max - alpha_min).sum()
@@ -138,6 +142,8 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "domains", dom)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "alpha_max", alpha_max)
         object.__setattr__(self, "alpha_min", alpha_min)
         object.__setattr__(self, "top", top)
@@ -146,14 +152,6 @@ class LinearModel:
     @property
     def n_features(self) -> int:
         return self.weights.size
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.domains[:, 0]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.domains[:, 1]
 
 
 def unit_box(n_features: int) -> np.ndarray:
@@ -229,31 +227,6 @@ class RejectClassifier:
 class Prediction:
     label: Label
     score: float
-
-
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """Per-feature worst-case and observed score contributions for one instance.
-
-    ``alpha_max[j]`` / ``alpha_min[j]`` are the extreme contributions of
-    feature ``j`` when it varies freely over its domain, ``beta[j]`` its
-    contribution when pinned to the observed value.  ``delta_plus`` is the
-    raise in the worst-case lower score bound gained by pinning a feature,
-    ``delta_minus`` the corresponding drop in the upper bound.  The baselines
-    are the two bounds with no feature pinned.
-    """
-
-    alpha_max: np.ndarray
-    alpha_min: np.ndarray
-    beta: np.ndarray
-    delta_plus: np.ndarray
-    delta_minus: np.ndarray
-    baseline_max: float
-    baseline_min: float
-
-    @property
-    def n_features(self) -> int:
-        return self.beta.size
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -373,21 +346,26 @@ class CoverProblem:
     def need_down(self) -> float:
         return self.floor - self.bottom
 
-    def bounds(self, idx: np.ndarray) -> tuple[float, float]:
-        """``(s_max, s_min)`` with the features of a sorted, unique index array pinned."""
+    def bounds(self, fixed: Iterable[int]) -> tuple[float, float]:
+        """``(s_max, s_min)``: the largest and smallest score reachable with the
+        ``fixed`` features pinned and every other one free."""
+        return self._bounds(_as_index_array(fixed, self.gain_up.size))
+
+    def _bounds(self, idx: np.ndarray) -> tuple[float, float]:
+        """:meth:`bounds` of an index array already sorted, unique and in range."""
         return (
             float(self.top - self.gain_up[idx].sum()),
             float(self.bottom + self.gain_down[idx].sum()),
         )
 
     def holds(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
-        """Whether pinning ``idx`` forces the label."""
-        smax, smin = self.bounds(idx)
+        """Whether pinning ``idx`` (sorted, unique, in range) forces the label."""
+        smax, smin = self._bounds(idx)
         return smax <= self.ceiling + eps and smin >= self.floor - eps
 
     def tight(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
         """Whether a bound with ``idx`` pinned sits within eps of its limit."""
-        smax, smin = self.bounds(idx)
+        smax, smin = self._bounds(idx)
         return abs(smax - self.ceiling) <= eps or abs(smin - self.floor) <= eps
 
 
@@ -415,16 +393,6 @@ def cover_problem(
     )
 
 
-def coefficient_profile(clf: RejectClassifier, instance: Instance) -> CoefficientProfile:
-    """Per-feature contribution bounds for one instance (see CoefficientProfile)."""
-    model = clf.model
-    problem = cover_problem(clf, instance)
-    return CoefficientProfile(
-        model.alpha_max, model.alpha_min, model.weights * instance.values,
-        problem.gain_down, problem.gain_up, model.top, model.bottom,
-    )
-
-
 def _as_index_array(values: Iterable[int], n: int | None = None) -> np.ndarray:
     """``values`` as a flat intp array, refusing floats and booleans rather than
     truncating them; given ``n``, made distinct and checked against ``range(n)``."""
@@ -443,18 +411,6 @@ def _as_index_array(values: Iterable[int], n: int | None = None) -> np.ndarray:
         if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise IndexError(f"fixed index out of range for {n} features")
     return idx
-
-
-def s_max(profile: CoefficientProfile, fixed: Iterable[int]) -> float:
-    """Largest score reachable when ``fixed`` features are pinned."""
-    idx = _as_index_array(fixed, profile.n_features)
-    return float(profile.baseline_max - profile.delta_minus[idx].sum())
-
-
-def s_min(profile: CoefficientProfile, fixed: Iterable[int]) -> float:
-    """Smallest score reachable when ``fixed`` features are pinned."""
-    idx = _as_index_array(fixed, profile.n_features)
-    return float(profile.baseline_min + profile.delta_plus[idx].sum())
 
 
 def is_valid_explanation(

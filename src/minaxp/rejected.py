@@ -2,15 +2,16 @@
 
 A rejected instance stays rejected only if the pinned features keep both
 worst-case score bounds inside the rejection band.  Encoding "pin feature j"
-as a binary variable turns that into two linear constraints over the
-correction terms ``beta - alpha_max`` (upper bound) and ``beta - alpha_min``
-(lower bound), with objective: pin as few features as possible.
+as a binary variable turns that into two covering constraints over the
+instance's :class:`~minaxp.model.CoverProblem`, with objective: pin as few
+features as possible.  Pinning feature j lowers the upper bound by
+``gain_up[j] >= 0`` and lifts the lower bound by ``gain_down[j] >= 0``; the
+pinned gains must add up to ``need_up = top - t_plus`` and ``need_down =
+t_minus - bottom`` (within eps).  Pinning every feature collapses both
+bounds onto the score, so the full set is feasible.
 
-Both constraints are covering constraints in disguise: pinning feature j
-contributes ``gain_up[j] >= 0`` towards pulling the upper bound below
-``t_plus`` and ``gain_down[j] >= 0`` towards lifting the lower bound above
-``t_minus``.  The built-in solver is a best-first branch and bound over the
-binary variables.  Its per-node lower bound is the largest of three cover
+The built-in solver is a best-first branch and bound over the binary
+variables.  Its per-node lower bound is the largest of three cover
 counts over the still-undecided features: the exact minimum number needed
 for each constraint separately (largest gains first) and the same count for
 the two constraints' sum, which any feasible selection must also cover.
@@ -26,8 +27,9 @@ children, and the search itself runs on plain floats and lists.
 Feasibility of candidate solutions is always confirmed on sums taken in
 ascending feature order (numpy reductions), the same arithmetic the
 closed-form validity check uses; the running per-node sums only steer the
-search.  This keeps accepted solutions consistent with ``s_max``/``s_min``
-even when thousands of additions would otherwise round differently.
+search.  This keeps accepted solutions consistent with
+``CoverProblem.bounds`` even when thousands of additions would otherwise
+round differently.
 """
 
 from __future__ import annotations
@@ -62,41 +64,12 @@ _SUFFIX_EXACT_LIMIT = 3000
 
 
 @dataclass(frozen=True)
-class RejectionIlp:
-    """The 0-1 program whose optimum is a minimum-size explanation of rejection.
-
-    Constraint 1: sum_j z_j * correction_up[j]   <= slack_up
-    Constraint 2: sum_j z_j * correction_down[j] >= slack_down
-    with correction_up <= 0 <= correction_down elementwise.  Selecting every
-    feature recovers the instance's own score in both rows, so the full set
-    is always feasible for a genuinely rejected instance.
-    """
-
-    correction_up: np.ndarray  # beta - alpha_max
-    correction_down: np.ndarray  # beta - alpha_min
-    slack_up: float  # t_plus - baseline_max
-    slack_down: float  # t_minus - baseline_min
-
-    @classmethod
-    def of(cls, problem: CoverProblem) -> "RejectionIlp":
-        """The program of a rejected problem (``-(a - b)`` is ``b - a`` bit for bit)."""
-        return cls(-problem.gain_up, problem.gain_down, -problem.need_up, problem.need_down)
-
-
-@dataclass(frozen=True)
 class IlpSolution:
-    selected: tuple[int, ...]
+    selected: np.ndarray  # sorted intp feature indices
     objective: int
     optimal: bool
     nodes_explored: int
     solve_time: float
-
-
-def build_rejection_ilp(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> RejectionIlp:
-    """Assemble the rejection program for a rejected instance."""
-    return RejectionIlp.of(cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION))
 
 
 class _TailSums:
@@ -126,7 +99,7 @@ class _TailSums:
             ordered = np.sort(self.values[:, depth:], axis=1)
             flat = array("d", [0.0]) * (3 * width)  # allocated exactly, unlike frombytes
             sums = np.frombuffer(flat).reshape(3, width)
-            np.cumsum(ordered[:, ::-1] if self.descending else ordered, axis=1, out=sums)
+            np.add.accumulate(ordered[:, ::-1] if self.descending else ordered, axis=1, out=sums)
             view = memoryview(flat)
             tail = self.cache[depth] = (view[:width], view[width : 2 * width], view[2 * width :])
         return tail
@@ -310,8 +283,7 @@ def _search_cover(
                 seq += 1
                 heappush(heap, (xlb, seq, count, depth, su, sd, chosen))
 
-    selected = tuple(np.sort(order[_mask(m, best_set, True)]).tolist())
-    return selected, len(best_set), nodes, optimal
+    return np.sort(order[_mask(m, best_set, True)]), len(best_set), nodes, optimal
 
 
 def _search_pack(
@@ -371,8 +343,7 @@ def _search_pack(
                 seq += 1
                 heappush(heap, (-xub, seq, count, depth, ru, rd, removed))
 
-    selected = tuple(np.sort(order[_mask(m, best_removed, False)]).tolist())
-    return selected, m - best_count, nodes, optimal
+    return np.sort(order[_mask(m, best_removed, False)]), m - best_count, nodes, optimal
 
 
 class _Deadline:
@@ -386,12 +357,13 @@ class _Deadline:
 
 
 def solve_rejection_ilp(
-    ilp: RejectionIlp,
+    problem: CoverProblem,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
     eps: float = DEFAULT_EPSILON,
 ) -> IlpSolution:
-    """Exact best-first branch and bound over the binary pin variables.
+    """Exact best-first branch and bound over the binary pin variables of a
+    rejected problem.
 
     Returns a provably minimum-cardinality feasible selection with
     ``optimal=True`` on normal termination.  If the node or wall-clock budget
@@ -406,13 +378,12 @@ def solve_rejection_ilp(
     be left free.
     """
     start = time.perf_counter()
-    gain_up = -np.asarray(ilp.correction_up, dtype=float)
-    gain_down = np.asarray(ilp.correction_down, dtype=float)
-    need_up = -float(ilp.slack_up)
-    need_down = float(ilp.slack_down)
+    problem.expect(ExplanationKind.REJECTION)
+    gain_up, gain_down = problem.gain_up, problem.gain_down
+    need_up, need_down = problem.need_up, problem.need_down
 
     if need_up <= eps and need_down <= eps:
-        return IlpSolution((), 0, True, 0, time.perf_counter() - start)
+        return IlpSolution(np.empty(0, np.intp), 0, True, 0, time.perf_counter() - start)
 
     # Features that move neither bound can never help; drop them up front.
     active = np.flatnonzero((gain_up > 0.0) | (gain_down > 0.0))
@@ -465,17 +436,6 @@ def lift_solution(
     return Explanation(np.arange(problem.gain_up.size), ExplanationKind.REJECTION, False)
 
 
-def explanation_from_solution(
-    clf: RejectClassifier,
-    instance: Instance,
-    solution: IlpSolution,
-    eps: float = DEFAULT_EPSILON,
-) -> Explanation:
-    """Lift a solver result to an Explanation, guaranteeing validity (see lift_solution)."""
-    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION)
-    return lift_solution(problem, solution, eps)
-
-
 def explain_rejection(
     clf: RejectClassifier,
     instance: Instance,
@@ -489,8 +449,5 @@ def explain_rejection(
     exhaustion the returned set is still a valid explanation, just possibly
     larger than necessary.
     """
-    problem = cover_problem(clf, instance, eps).expect(ExplanationKind.REJECTION)
-    solution = solve_rejection_ilp(
-        RejectionIlp.of(problem), node_limit=node_limit, time_limit=time_limit, eps=eps
-    )
-    return lift_solution(problem, solution, eps)
+    problem = cover_problem(clf, instance, eps)
+    return lift_solution(problem, solve_rejection_ilp(problem, node_limit, time_limit, eps), eps)

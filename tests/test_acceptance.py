@@ -22,9 +22,9 @@ from minaxp import (
     RejectClassifier,
     RiskConfig,
     brute_force_minimum,
-    build_rejection_ilp,
     calibrate_thresholds,
     candidate_grid,
+    cover_problem,
     evaluate_risk,
     explain_instance,
     explain_negative,
@@ -86,7 +86,7 @@ def test_criterion_2_ilp_matches_oracle_on_rejected():
     for _ in range(500):
         n = int(rng.integers(2, 13))
         clf, instance = random_case(rng, n, Label.REJECT)
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
         optimal_flags += int(solution.optimal)
         matches += int(solution.objective == brute_force_minimum(clf, instance).size)
     elapsed = time.perf_counter() - start
@@ -108,7 +108,7 @@ def _explanation_population(rng, cases):
         elif label is Label.NEGATIVE:
             exact, _ = explain_negative(clf, instance)
         else:
-            solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+            solution = solve_rejection_ilp(cover_problem(clf, instance))
             exact = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
         population.append((clf, instance, exact))
         population.append((clf, instance, subset_minimal_explanation(clf, instance)))

@@ -8,7 +8,7 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
-    coefficient_profile,
+    cover_problem,
     explain_negative,
     explain_positive,
     explain_rejection,
@@ -81,12 +81,12 @@ def _reference_deletion(clf, instance, eps=DEFAULT_EPSILON):
     """The deletion walk one numpy scalar at a time, with the kind tested per index."""
     pred = predict(clf, instance, eps)
     kind = kind_for_label(pred.label)
-    profile = coefficient_profile(clf, instance)
+    problem = cover_problem(clf, instance)
     smax = smin = pred.score
     kept = []
-    for j in range(profile.n_features):
-        trial_max = smax + profile.delta_minus[j]
-        trial_min = smin - profile.delta_plus[j]
+    for j in range(clf.model.n_features):
+        trial_max = smax + problem.gain_up[j]
+        trial_min = smin - problem.gain_down[j]
         if kind is ExplanationKind.POSITIVE:
             removable = trial_min >= clf.t_plus - eps
         elif kind is ExplanationKind.NEGATIVE:

@@ -10,14 +10,12 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
-    coefficient_profile,
+    cover_problem,
     explain_instance,
     explain_negative,
     explain_positive,
     is_valid_explanation,
     random_case,
-    s_max,
-    s_min,
     unit_box,
 )
 from minaxp.classified import _greedy_prefix
@@ -31,7 +29,7 @@ class TestExplainPositive:
         assert explanation.kind is ExplanationKind.POSITIVE
         assert explanation.certified_minimum
         assert trace.prefix_length == 1
-        assert trace.required_margin == 3.0  # t_plus - baseline_min = 1 - (-2)
+        assert trace.required_margin == 3.0  # need_down = t_plus - bottom = 1 - (-2)
         np.testing.assert_array_equal(trace.gains, [3.0, 2.0, 1.0])
         # brute force over all 8 subsets agrees on the size
         assert brute_force_minimum(clf, instance).size == 1
@@ -225,10 +223,10 @@ def test_tied_wide_rows_match_reference_through_explain_instance(label):
         assert record.indices == want
         assert type(record.indices) is tuple and all(type(j) is int for j in record.indices)
         assert record.size == len(want)
-        profile = coefficient_profile(clf, instance)
+        smax, smin = cover_problem(clf, instance).bounds(want)
         if label is Label.POSITIVE:
-            tight = abs(s_min(profile, want) - clf.t_plus) <= DEFAULT_EPSILON
+            tight = abs(smin - clf.t_plus) <= DEFAULT_EPSILON
         else:
-            tight = abs(s_max(profile, want) - clf.t_minus) <= DEFAULT_EPSILON
+            tight = abs(smax - clf.t_minus) <= DEFAULT_EPSILON
         assert record.boundary_tight == tight
         assert tight == (row % 2 == 0)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minaxp.cli as cli
@@ -469,22 +471,41 @@ class TestExitCodes:
 
     def test_verify_flags_an_injected_bug(self, monkeypatch, capsys):
         # negative control: a greedy that pads every explanation must trip verification
-        import minaxp.classified as classified
+        import minaxp.explain as explain
 
-        real = classified.explain_positive
+        real = explain.greedy_explanation
 
-        def padded(clf, instance, eps=1e-9):
-            explanation, trace = real(clf, instance, eps)
-            spare = [j for j in range(clf.model.n_features) if j not in explanation.indices]
+        def padded(problem, eps=1e-9):
+            explanation, trace = real(problem, eps)
+            spare = [j for j in range(problem.gain_up.size) if j not in explanation.indices]
             if not spare:
                 return explanation, trace
             bloated = Explanation(
                 indices=tuple(sorted(explanation.indices + (spare[0],))),
-                kind=ExplanationKind.POSITIVE,
+                kind=explanation.kind,
                 certified_minimum=True,
             )
             return bloated, trace
 
-        monkeypatch.setattr(cli, "explain_positive", padded)
+        monkeypatch.setattr(explain, "greedy_explanation", padded)
         assert cli.main(["verify", "--cases", "10", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED
         assert "FAILED" in capsys.readouterr().err
+
+    def test_verify_flags_an_injected_solver_bug(self, monkeypatch, capsys):
+        # negative control: a solver that pads its selection yet claims optimality
+        import minaxp.explain as explain
+
+        real = explain.solve_rejection_ilp
+
+        def padded(problem, *args, **kwargs):
+            solution = real(problem, *args, **kwargs)
+            spare = np.setdiff1d(np.arange(problem.gain_up.size), solution.selected)
+            if not spare.size:
+                return solution
+            selected = np.union1d(solution.selected, spare[:1])
+            return dataclasses.replace(solution, selected=selected, objective=selected.size, optimal=True)
+
+        monkeypatch.setattr(explain, "solve_rejection_ilp", padded)
+        assert cli.main(["verify", "--cases", "10", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        assert "10/10 classified" in out and "FAILED" in err

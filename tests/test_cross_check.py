@@ -16,8 +16,7 @@ from minaxp import (
     Label,
     LinearModel,
     RejectClassifier,
-    build_rejection_ilp,
-    coefficient_profile,
+    cover_problem,
     explain_negative,
     explain_positive,
     predict,
@@ -25,8 +24,6 @@ from minaxp import (
     solve_rejection_ilp,
     unit_box,
 )
-from minaxp.model import cover_problem
-from minaxp.rejected import RejectionIlp
 
 EPS = 1e-9
 
@@ -48,13 +45,14 @@ def test_rejection_solver_matches_external_milp():
     for _ in range(40):
         n = int(rng.integers(15, 61))
         clf, instance = random_case(rng, n, Label.REJECT)
-        ilp = build_rejection_ilp(clf, instance)
-        ours = solve_rejection_ilp(ilp)
+        problem = cover_problem(clf, instance)
+        ours = solve_rejection_ilp(problem)
         assert ours.optimal
+        # The upper row in <= form: -gain_up @ z <= -need_up.
         external = _milp_min_count(
-            [ilp.correction_up, ilp.correction_down],
-            [-np.inf, ilp.slack_down - EPS],
-            [ilp.slack_up + EPS, np.inf],
+            [-problem.gain_up, problem.gain_down],
+            [-np.inf, problem.need_down - EPS],
+            [-problem.need_up + EPS, np.inf],
             n,
         )
         assert ours.objective == external
@@ -66,15 +64,15 @@ def test_greedy_matches_external_milp():
         n = int(rng.integers(15, 61))
         label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
         clf, instance = random_case(rng, n, label)
-        profile = coefficient_profile(clf, instance)
+        problem = cover_problem(clf, instance)
         if label is Label.POSITIVE:
             explanation, _ = explain_positive(clf, instance)
-            gains = profile.delta_plus
-            required = clf.t_plus - profile.baseline_min
+            gains = problem.gain_down
+            required = clf.t_plus - problem.bottom
         else:
             explanation, _ = explain_negative(clf, instance)
-            gains = profile.delta_minus
-            required = profile.baseline_max - clf.t_minus
+            gains = problem.gain_up
+            required = problem.top - clf.t_minus
         external = _milp_min_count([gains], [required - EPS], [np.inf], n)
         assert explanation.size == external
 
@@ -143,9 +141,9 @@ def _wide_rejected_cases():
 def test_rejection_solver_matches_external_milp_beyond_100_features():
     exact = 0
     for problem in _wide_rejected_cases():
-        ours = solve_rejection_ilp(RejectionIlp.of(problem))
+        ours = solve_rejection_ilp(problem)
         assert ours.optimal
-        assert problem.holds(np.asarray(ours.selected, dtype=np.intp), EPS)
+        assert problem.holds(ours.selected, EPS)
         low, high = _rejection_minimum(problem)
         assert low <= ours.objective <= high
         exact += low == high

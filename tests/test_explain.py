@@ -16,26 +16,22 @@ from minaxp import (
     RejectClassifier,
     boundary_tight,
     brute_force_minimum,
-    build_rejection_ilp,
-    coefficient_profile,
+    cover_problem,
     explain_instance,
     explain_negative,
     explain_positive,
     predict,
     random_case,
-    s_max,
-    s_min,
     solve_rejection_ilp,
     subset_minimal_explanation,
     unit_box,
 )
-from minaxp.rejected import explanation_from_solution
+from minaxp.rejected import lift_solution
 
 
 def _reference_tight(clf, instance, explanation, eps):
-    """Boundary tightness from the coefficient profile, the kind tested per call."""
-    profile = coefficient_profile(clf, instance)
-    smax, smin = s_max(profile, explanation.indices), s_min(profile, explanation.indices)
+    """Boundary tightness from the score bounds, the kind tested per call."""
+    smax, smin = cover_problem(clf, instance).bounds(explanation.indices)
     if explanation.kind is ExplanationKind.POSITIVE:
         return abs(smin - clf.t_plus) <= eps
     if explanation.kind is ExplanationKind.NEGATIVE:
@@ -71,9 +67,9 @@ def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
         elif pred.label is Label.NEGATIVE:
             explanation, _ = explain_negative(clf, instance, eps)
         else:
-            ilp = build_rejection_ilp(clf, instance, eps)
-            solution = solve_rejection_ilp(ilp, eps=eps)
-            explanation = explanation_from_solution(clf, instance, solution, eps)
+            problem = cover_problem(clf, instance, eps)
+            solution = solve_rejection_ilp(problem, eps=eps)
+            explanation = lift_solution(problem, solution, eps)
             nodes = solution.nodes_explored
         records.append(record(explanation, "minabro", nodes))
     if method in ("baseline", "both"):

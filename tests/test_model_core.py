@@ -14,11 +14,9 @@ from minaxp import (
     LabelMismatchError,
     LinearModel,
     RejectClassifier,
-    coefficient_profile,
+    cover_problem,
     is_valid_explanation,
     predict,
-    s_max,
-    s_min,
     score,
     unit_box,
 )
@@ -89,55 +87,53 @@ class TestPredict:
         assert predict(clf, instance) == predict(clf, instance)
 
 
-class TestCoefficientProfile:
+class TestCoverProblem:
     def test_band_case_values(self, band_case):
         clf, instance = band_case
-        profile = coefficient_profile(clf, instance)
-        np.testing.assert_array_equal(profile.alpha_max, [2.0, 0.0])
-        np.testing.assert_array_equal(profile.alpha_min, [0.0, -2.0])
-        np.testing.assert_array_equal(profile.beta, [1.0, -1.0])
-        assert profile.baseline_max == 2.0
-        assert profile.baseline_min == -2.0
+        problem = cover_problem(clf, instance)
+        np.testing.assert_array_equal(clf.model.alpha_max, [2.0, 0.0])
+        np.testing.assert_array_equal(clf.model.alpha_min, [0.0, -2.0])
+        np.testing.assert_array_equal(clf.model.alpha_max - problem.gain_up, [1.0, -1.0])
+        np.testing.assert_array_equal(clf.model.alpha_min + problem.gain_down, [1.0, -1.0])
+        assert problem.top == 2.0
+        assert problem.bottom == -2.0
 
     def test_zero_weights(self):
         model = LinearModel(np.zeros(4), 0.3, unit_box(4))
         clf = RejectClassifier(model, -1.0, 1.0)
-        profile = coefficient_profile(clf, Instance(np.full(4, 0.5)))
-        np.testing.assert_array_equal(profile.alpha_max, np.zeros(4))
-        np.testing.assert_array_equal(profile.alpha_min, np.zeros(4))
-        np.testing.assert_array_equal(profile.beta, np.zeros(4))
-        assert profile.baseline_max == profile.baseline_min == 0.3
+        problem = cover_problem(clf, Instance(np.full(4, 0.5)))
+        np.testing.assert_array_equal(model.alpha_max, np.zeros(4))
+        np.testing.assert_array_equal(model.alpha_min, np.zeros(4))
+        np.testing.assert_array_equal(problem.gain_up, np.zeros(4))
+        np.testing.assert_array_equal(problem.gain_down, np.zeros(4))
+        assert problem.top == problem.bottom == 0.3
 
     def test_gain_example(self, pos3_case):
         clf, instance = pos3_case
-        profile = coefficient_profile(clf, instance)
-        np.testing.assert_array_equal(profile.delta_plus, [3.0, 2.0, 1.0])
+        problem = cover_problem(clf, instance)
+        np.testing.assert_array_equal(problem.gain_down, [3.0, 2.0, 1.0])
 
 
 class TestScoreBounds:
     def test_fixed_first_feature(self, band_case):
         clf, instance = band_case
-        profile = coefficient_profile(clf, instance)
-        assert s_max(profile, [0]) == 1.0
-        assert s_min(profile, [0]) == -1.0
+        assert cover_problem(clf, instance).bounds([0]) == (1.0, -1.0)
 
     def test_all_fixed_equals_score(self, band_case):
         clf, instance = band_case
-        profile = coefficient_profile(clf, instance)
-        assert s_max(profile, [0, 1]) == score(clf.model, instance)
-        assert s_min(profile, [0, 1]) == score(clf.model, instance)
+        s = score(clf.model, instance)
+        assert cover_problem(clf, instance).bounds([0, 1]) == (s, s)
 
     def test_empty_set_gives_baselines(self, band_case):
         clf, instance = band_case
-        profile = coefficient_profile(clf, instance)
-        assert s_max(profile, []) == profile.baseline_max
-        assert s_min(profile, []) == profile.baseline_min
+        problem = cover_problem(clf, instance)
+        assert problem.bounds([]) == (problem.top, problem.bottom)
 
     def test_out_of_range_index(self, band_case):
         clf, instance = band_case
-        profile = coefficient_profile(clf, instance)
+        problem = cover_problem(clf, instance)
         with pytest.raises(IndexError):
-            s_max(profile, [2])
+            problem.bounds([2])
 
 
 class TestValidity:
@@ -230,18 +226,16 @@ class TestConstructionInvariants:
         clf, instance = pos3_case
         with pytest.raises(ValueError, match="integers"):
             is_valid_explanation(clf, instance, bad, ExplanationKind.POSITIVE)
-        profile = coefficient_profile(clf, instance)
-        for bound in (s_max, s_min):
-            with pytest.raises(ValueError, match="integers"):
-                bound(profile, bad)
+        with pytest.raises(ValueError, match="integers"):
+            cover_problem(clf, instance).bounds(bad)
 
     @pytest.mark.parametrize("empty", [[], (), np.array([]), np.array([], dtype=bool), range(0)])
     def test_empty_indices_accepted(self, empty, pos3_case):
         assert Explanation(empty, ExplanationKind.POSITIVE, True).indices == ()
         clf, instance = pos3_case
         assert not is_valid_explanation(clf, instance, empty, ExplanationKind.POSITIVE)
-        profile = coefficient_profile(clf, instance)
-        assert s_min(profile, empty) == profile.baseline_min
+        problem = cover_problem(clf, instance)
+        assert problem.bounds(empty) == (problem.top, problem.bottom)
 
     def test_explanation_keeps_an_index_array(self):
         given = np.array([0, 2, 5], dtype=np.uint16)
@@ -273,12 +267,13 @@ def test_bounds_tighten_monotonically(seed, n):
     rng = np.random.default_rng(seed)
     model, instance = _random_setup(rng, n)
     clf = RejectClassifier(model, -1.0, 1.0)
-    profile = coefficient_profile(clf, instance)
+    problem = cover_problem(clf, instance)
     members = rng.permutation(n)
     cut = int(rng.integers(0, n + 1))
-    small, big = members[: cut // 2], members[:cut]
-    assert s_max(profile, big) <= s_max(profile, small) + 1e-12
-    assert s_min(profile, big) >= s_min(profile, small) - 1e-12
+    big_max, big_min = problem.bounds(members[:cut])
+    small_max, small_min = problem.bounds(members[: cut // 2])
+    assert big_max <= small_max + 1e-12
+    assert big_min >= small_min - 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,15 +282,17 @@ def test_true_score_sandwiched(seed, n):
     rng = np.random.default_rng(seed)
     model, instance = _random_setup(rng, n)
     clf = RejectClassifier(model, -1.0, 1.0)
-    profile = coefficient_profile(clf, instance)
+    problem = cover_problem(clf, instance)
     fixed = [int(j) for j in range(n) if rng.random() < 0.5]
     s = score(model, instance)
-    assert s_min(profile, fixed) - 1e-12 <= s <= s_max(profile, fixed) + 1e-12
-    # profile ordering invariants
-    assert np.all(profile.alpha_min <= profile.beta + 1e-12)
-    assert np.all(profile.beta <= profile.alpha_max + 1e-12)
-    assert np.all(profile.delta_plus >= 0.0)
-    assert np.all(profile.delta_minus >= 0.0)
+    smax, smin = problem.bounds(fixed)
+    assert smin - 1e-12 <= s <= smax + 1e-12
+    # ordering invariants: alpha_min <= beta <= alpha_max
+    beta = model.weights * instance.values
+    assert np.all(model.alpha_min <= beta + 1e-12)
+    assert np.all(beta <= model.alpha_max + 1e-12)
+    assert np.all(problem.gain_down >= 0.0)
+    assert np.all(problem.gain_up >= 0.0)
 
 
 def test_sampled_completions_stay_inside_bounds():
@@ -306,9 +303,8 @@ def test_sampled_completions_stay_inside_bounds():
         n = int(rng.integers(1, 10))
         model, instance = _random_setup(rng, n)
         clf = RejectClassifier(model, -1.0, 1.0)
-        profile = coefficient_profile(clf, instance)
         fixed = np.array([j for j in range(n) if rng.random() < 0.4], dtype=int)
-        lo, hi = s_min(profile, fixed), s_max(profile, fixed)
+        hi, lo = cover_problem(clf, instance).bounds(fixed)
 
         free = np.setdiff1d(np.arange(n), fixed)
         draws = np.tile(instance.values, (1000, 1))

@@ -10,13 +10,10 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
-    build_rejection_ilp,
-    coefficient_profile,
+    cover_problem,
     explain_rejection,
     is_valid_explanation,
     random_case,
-    s_max,
-    s_min,
     score,
     solve_rejection_ilp,
     unit_box,
@@ -26,51 +23,50 @@ from minaxp import (
 class TestBuildIlp:
     def test_band_case_coefficients(self, band_case):
         clf, instance = band_case
-        ilp = build_rejection_ilp(clf, instance)
-        np.testing.assert_array_equal(ilp.correction_up, [-1.0, -1.0])
-        np.testing.assert_array_equal(ilp.correction_down, [1.0, 1.0])
-        assert ilp.slack_up == -1.0
-        assert ilp.slack_down == 1.0
-        assert np.all(ilp.correction_up <= 0.0)
-        assert np.all(ilp.correction_down >= 0.0)
+        problem = cover_problem(clf, instance)
+        np.testing.assert_array_equal(problem.gain_up, [1.0, 1.0])
+        np.testing.assert_array_equal(problem.gain_down, [1.0, 1.0])
+        assert problem.need_up == 1.0
+        assert problem.need_down == 1.0
+        assert np.all(problem.gain_up >= 0.0)
+        assert np.all(problem.gain_down >= 0.0)
 
     def test_zero_weights_make_empty_feasible(self):
         model = LinearModel(np.zeros(3), 0.2, unit_box(3))
         clf = RejectClassifier(model, -1.0, 1.0)
         instance = Instance.validated(model, [0.1, 0.5, 0.9])
-        ilp = build_rejection_ilp(clf, instance)
-        assert 0.0 <= ilp.slack_up  # constraint 1 holds at z=0
-        assert ilp.slack_down <= 0.0  # constraint 2 holds at z=0
+        problem = cover_problem(clf, instance)
+        assert problem.need_up <= 0.0  # constraint 1 holds at z=0
+        assert problem.need_down <= 0.0  # constraint 2 holds at z=0
 
     def test_all_ones_recovers_score(self, band_case):
         # selecting every feature telescopes both constraint rows onto s(x)
         clf, instance = band_case
-        ilp = build_rejection_ilp(clf, instance)
-        profile = coefficient_profile(clf, instance)
+        problem = cover_problem(clf, instance)
         s = score(clf.model, instance)
-        assert profile.baseline_max + ilp.correction_up.sum() == pytest.approx(s)
-        assert profile.baseline_min + ilp.correction_down.sum() == pytest.approx(s)
+        assert problem.top - problem.gain_up.sum() == pytest.approx(s)
+        assert problem.bottom + problem.gain_down.sum() == pytest.approx(s)
 
     def test_not_rejected_raises(self, pos3_case):
         clf, instance = pos3_case
         with pytest.raises(LabelMismatchError):
-            build_rejection_ilp(clf, instance)
+            solve_rejection_ilp(cover_problem(clf, instance))
 
 
 class TestSolve:
     def test_band_case_single_feature(self, band_case):
         clf, instance = band_case
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
         assert solution.objective == 1
-        assert solution.selected == (0,)  # deterministic tie-break
+        assert solution.selected.tolist() == [0]  # deterministic tie-break
         assert solution.optimal
 
     def test_empty_feasible(self):
         model = LinearModel(np.zeros(2), 0.0, unit_box(2))
         clf = RejectClassifier(model, -1.0, 1.0)
         instance = Instance.validated(model, [0.5, 0.5])
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
-        assert solution.selected == ()
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
+        assert solution.selected.tolist() == []
         assert solution.objective == 0
         assert solution.optimal
 
@@ -78,15 +74,15 @@ class TestSolve:
         model = LinearModel(np.array([1.0, 1.0]), 0.0, unit_box(2))
         clf = RejectClassifier(model, 0.9, 1.1)
         instance = Instance.validated(model, [0.5, 0.5])
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
         assert solution.objective == 2
 
     def test_deterministic(self, band_case):
         clf, instance = band_case
-        ilp = build_rejection_ilp(clf, instance)
-        a = solve_rejection_ilp(ilp)
-        b = solve_rejection_ilp(ilp)
-        assert a.selected == b.selected
+        problem = cover_problem(clf, instance)
+        a = solve_rejection_ilp(problem)
+        b = solve_rejection_ilp(problem)
+        assert a.selected.tolist() == b.selected.tolist()
         assert a.nodes_explored == b.nodes_explored
 
 
@@ -102,9 +98,9 @@ def split_demand_case():
 
 def test_split_demand_optimum(split_demand_case):
     clf, instance = split_demand_case
-    solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+    solution = solve_rejection_ilp(cover_problem(clf, instance))
     assert solution.objective == 2
-    assert solution.selected == (1, 2)
+    assert solution.selected.tolist() == [1, 2]
     assert solution.optimal
 
 
@@ -120,7 +116,7 @@ def bound_gap_case():
 
 def test_bound_gap_case_solved_exactly(bound_gap_case):
     clf, instance = bound_gap_case
-    solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+    solution = solve_rejection_ilp(cover_problem(clf, instance))
     assert solution.optimal
     assert solution.objective == 3 == brute_force_minimum(clf, instance).size
     assert solution.nodes_explored > 0  # the root bound alone cannot close this
@@ -128,7 +124,7 @@ def test_bound_gap_case_solved_exactly(bound_gap_case):
 
 def test_budget_exhaustion_returns_valid_incumbent(bound_gap_case):
     clf, instance = bound_gap_case
-    solution = solve_rejection_ilp(build_rejection_ilp(clf, instance), node_limit=0)
+    solution = solve_rejection_ilp(cover_problem(clf, instance), node_limit=0)
     assert not solution.optimal
     assert is_valid_explanation(clf, instance, solution.selected, ExplanationKind.REJECTION)
 
@@ -158,11 +154,13 @@ def test_budget_fallback_is_flagged_not_certified(bound_gap_case):
 
 def test_invalid_solution_repaired_to_full_set(band_case):
     # a doctored, infeasible "solution" must be replaced by the full set
-    from minaxp.rejected import IlpSolution, explanation_from_solution
+    from minaxp.rejected import IlpSolution, lift_solution
 
     clf, instance = band_case
-    doctored = IlpSolution(selected=(), objective=0, optimal=True, nodes_explored=0, solve_time=0.0)
-    explanation = explanation_from_solution(clf, instance, doctored)
+    doctored = IlpSolution(
+        selected=np.empty(0, np.intp), objective=0, optimal=True, nodes_explored=0, solve_time=0.0
+    )
+    explanation = lift_solution(cover_problem(clf, instance), doctored)
     assert explanation.indices == (0, 1)
     assert not explanation.certified_minimum
     assert is_valid_explanation(clf, instance, explanation.indices, ExplanationKind.REJECTION)
@@ -174,10 +172,10 @@ def test_solution_reverified_through_score_bounds():
     for _ in range(60):
         n = int(rng.integers(2, 13))
         clf, instance = random_case(rng, n, Label.REJECT)
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
-        profile = coefficient_profile(clf, instance)
-        assert s_max(profile, solution.selected) <= clf.t_plus + 1e-9
-        assert s_min(profile, solution.selected) >= clf.t_minus - 1e-9
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
+        smax, smin = cover_problem(clf, instance).bounds(solution.selected)
+        assert smax <= clf.t_plus + 1e-9
+        assert smin >= clf.t_minus - 1e-9
         assert 0 <= solution.objective <= n
 
 
@@ -186,7 +184,7 @@ def test_matches_brute_force_sizes():
     for _ in range(150):
         n = int(rng.integers(2, 13))
         clf, instance = random_case(rng, n, Label.REJECT)
-        solution = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+        solution = solve_rejection_ilp(cover_problem(clf, instance))
         assert solution.optimal
         assert solution.objective == brute_force_minimum(clf, instance).size
 
@@ -197,7 +195,7 @@ def test_feasibility_is_antimonotone():
     for _ in range(40):
         n = int(rng.integers(2, 10))
         clf, instance = random_case(rng, n, Label.REJECT)
-        base = list(solve_rejection_ilp(build_rejection_ilp(clf, instance)).selected)
+        base = solve_rejection_ilp(cover_problem(clf, instance)).selected.tolist()
         extras = [j for j in range(n) if j not in base]
         grown = list(base)
         for j in extras:
@@ -208,9 +206,9 @@ def test_feasibility_is_antimonotone():
 def test_weak_bound_fallback_gives_same_optimum(split_demand_case, monkeypatch):
     # force the global-ranking bound path and confirm identical objectives
     clf, instance = split_demand_case
-    exact = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+    exact = solve_rejection_ilp(cover_problem(clf, instance))
     monkeypatch.setattr(rejected_mod, "_SUFFIX_EXACT_LIMIT", 0)
-    weak = solve_rejection_ilp(build_rejection_ilp(clf, instance))
+    weak = solve_rejection_ilp(cover_problem(clf, instance))
     assert weak.optimal
     assert weak.objective == exact.objective
 
@@ -218,6 +216,6 @@ def test_weak_bound_fallback_gives_same_optimum(split_demand_case, monkeypatch):
     for _ in range(25):
         n = int(rng.integers(2, 10))
         clf2, inst2 = random_case(rng, n, Label.REJECT)
-        weak2 = solve_rejection_ilp(build_rejection_ilp(clf2, inst2))
+        weak2 = solve_rejection_ilp(cover_problem(clf2, inst2))
         assert weak2.optimal
         assert weak2.objective == brute_force_minimum(clf2, inst2).size

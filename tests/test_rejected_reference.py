@@ -6,12 +6,15 @@ before the bounds became per-depth ``array('d')`` prefix sums searched with
 numpy-scalar reads and heap entries that copy their chosen positions.  Both
 must walk the same tree, so every field of a solution but its time must
 match: ``selected``, ``objective``, ``optimal`` and ``nodes_explored``.
+The copy reads the program in its earlier correction form, which
+``RejectionIlp`` below builds from the problem's gains and needs.
 """
 
 import heapq
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,7 +22,23 @@ import pytest
 import minaxp.rejected as rejected
 from minaxp import DEFAULT_EPSILON, ExplanationKind, Instance, LinearModel, RejectClassifier, unit_box
 from minaxp.model import cover_problem
-from minaxp.rejected import IlpSolution, RejectionIlp
+from minaxp.rejected import IlpSolution
+
+
+@dataclass(frozen=True)
+class RejectionIlp:
+    """The frozen copy's input: ``sum z * correction_up <= slack_up`` and
+    ``sum z * correction_down >= slack_down``, the negated gains and needs
+    on the upper side (``-(a - b)`` is ``b - a`` bit for bit)."""
+
+    correction_up: np.ndarray
+    correction_down: np.ndarray
+    slack_up: float
+    slack_down: float
+
+    @classmethod
+    def of(cls, problem):
+        return cls(-problem.gain_up, problem.gain_down, -problem.need_up, problem.need_down)
 
 # ---- frozen copy, verbatim -------------------------------------------------
 
@@ -410,7 +429,7 @@ CASES = 400
 NODE_CAP = 2000  # keeps the few hard cases bounded; capped runs compare too
 
 
-def _rejected_ilp(rng, i):
+def _rejected_problem(rng, i):
     """A rejected case with 2 to 250 features (log-uniform).
 
     Even cases: uniform weights and a narrow band, so that most features
@@ -439,20 +458,20 @@ def _rejected_ilp(rng, i):
     if quarter:
         t_minus, t_plus = math.floor(t_minus * 16) / 16, math.ceil(t_plus * 16) / 16
     clf = RejectClassifier(model, t_minus, t_plus)
-    problem = cover_problem(clf, Instance.validated(model, x))
-    return RejectionIlp.of(problem.expect(ExplanationKind.REJECTION))
+    return cover_problem(clf, Instance.validated(model, x)).expect(ExplanationKind.REJECTION)
 
 
 @pytest.fixture(scope="module")
 def cases():
     rng = np.random.default_rng(6001)
-    return [_rejected_ilp(rng, i) for i in range(CASES)]
+    return [_rejected_problem(rng, i) for i in range(CASES)]
 
 
-def _same_answer(ilp, node_limit):
-    new = rejected.solve_rejection_ilp(ilp, node_limit=node_limit, time_limit=math.inf)
-    old = solve_rejection_ilp(ilp, node_limit=node_limit, time_limit=math.inf)
-    fields = ("selected", "objective", "optimal", "nodes_explored")
+def _same_answer(problem, node_limit):
+    new = rejected.solve_rejection_ilp(problem, node_limit=node_limit, time_limit=math.inf)
+    old = solve_rejection_ilp(RejectionIlp.of(problem), node_limit=node_limit, time_limit=math.inf)
+    assert new.selected.dtype == np.intp and tuple(new.selected.tolist()) == old.selected
+    fields = ("objective", "optimal", "nodes_explored")
     assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
     return new
 
@@ -467,7 +486,7 @@ def test_same_tree_and_answers_in_both_views(cases, monkeypatch):
             return search(*args)
 
         monkeypatch.setattr(rejected, name, counted)
-    solutions = [_same_answer(ilp, NODE_CAP) for ilp in cases]
+    solutions = [_same_answer(problem, NODE_CAP) for problem in cases]
     assert min(views.values()) >= 100, views
     certified = sum(s.optimal for s in solutions)
     assert 300 <= certified < CASES  # mostly certified; some runs hit the cap
@@ -476,7 +495,7 @@ def test_same_tree_and_answers_in_both_views(cases, monkeypatch):
 
 @pytest.mark.parametrize("node_limit", [1, 7, 50])
 def test_same_incumbents_when_the_node_budget_runs_out(cases, node_limit):
-    solutions = [_same_answer(ilp, node_limit) for ilp in cases]
+    solutions = [_same_answer(problem, node_limit) for problem in cases]
     assert sum(not s.optimal for s in solutions) >= 20
 
 
@@ -484,5 +503,5 @@ def test_same_tree_with_whole_order_bounds(cases, monkeypatch):
     # Above the exact limit every depth reads the whole order's sums.
     monkeypatch.setattr(rejected, "_SUFFIX_EXACT_LIMIT", 0)
     monkeypatch.setattr(sys.modules[__name__], "_SUFFIX_EXACT_LIMIT", 0)
-    for ilp in cases[:120]:
-        _same_answer(ilp, NODE_CAP)
+    for problem in cases[:120]:
+        _same_answer(problem, NODE_CAP)
