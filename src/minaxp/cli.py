@@ -33,7 +33,7 @@ from .dataio import (
 )
 from .explain import METHODS, explain_instance
 from .model import DEFAULT_EPSILON, DomainError, Instance, Label, predict
-from .oracle import brute_force_minimum, random_case
+from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
 EXIT_OK = 0
@@ -282,6 +282,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--cases must be at least 0, got {args.cases}")
     if args.data is None and args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.data is None and args.max_n > MAX_ORACLE_FEATURES:
+        raise ValueError(f"--max-n must be at most {MAX_ORACLE_FEATURES}, got {args.max_n}")
     if args.cases == 0 and args.data is None:
         print("warning: --cases 0, nothing verified")
         return EXIT_OK

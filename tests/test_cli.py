@@ -407,8 +407,9 @@ class TestExitCodes:
         [
             (["--cases", "-1"], "--cases must be at least 0, got -1"),
             (["--cases", "3", "--max-n", "1"], "--max-n must be at least 2, got 1"),
+            (["--cases", "1", "--max-n", "25"], "--max-n must be at most 20, got 25"),
         ],
-        ids=["cases", "max-n"],
+        ids=["cases", "max-n", "max-n-above-oracle"],
     )
     def test_bad_verify_count_is_input_error(self, capsys, args, message):
         code = cli.main(["verify", *args])

@@ -5,6 +5,8 @@ built-in solvers against a completely separate exact route on larger
 problems.  Skipped when scipy is unavailable.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,8 @@ def _wide_rejected_cases():
     """Ten rows on uniform weights and a narrow band of +-0.125, as in the
     benchmark's reject-pack, and ten whose band runs from the 45th to the
     55th percentile of the model's scores on 2,000 uniform rows.  Both pin
-    nearly every feature, so the solver searches the pack view."""
+    nearly every feature.  The solver searches every row, like every
+    rejection, over the features it can leave free."""
     rng = np.random.default_rng(63)
     for n in np.linspace(100, 400, 10).astype(int).tolist():
         for band in ("narrow", "percentile"):
@@ -148,3 +151,30 @@ def test_rejection_solver_matches_external_milp_beyond_100_features():
         assert low <= ours.objective <= high
         exact += low == high
     assert exact >= 15  # HiGHS's own selection passed the exact check
+
+
+def _wide_band_cases():
+    """Nine rows on U(-1,1) weights whose band is +-f * sum(|w|) around the
+    centre, for n in (100, 120, 140) and f in (0.25, 0.3, 0.35).  Only 16
+    to 30 % of the features stay pinned; a search over pinned sets left
+    every one of these rows uncertified at the same node budget."""
+    rng = np.random.default_rng(64)
+    for n in (100, 120, 140):
+        for f in (0.25, 0.3, 0.35):
+            weights = rng.uniform(-1.0, 1.0, n)
+            model = LinearModel(weights, -0.5 * float(weights.sum()), unit_box(n))
+            half = f * float(np.abs(weights).sum())
+            clf = RejectClassifier(model, -half, half)
+            instance = Instance.validated(model, _row_in_band(rng, model, -half, half))
+            yield cover_problem(clf, instance).expect(ExplanationKind.REJECTION)
+
+
+def test_rejection_solver_matches_external_milp_on_wide_bands():
+    # A node budget, not a clock, bounds each solve: the hardest row takes
+    # about 154k nodes.
+    for problem in _wide_band_cases():
+        ours = solve_rejection_ilp(problem, node_limit=200_000, time_limit=math.inf)
+        assert ours.optimal
+        assert problem.holds(ours.selected, EPS)
+        low, high = _rejection_minimum(problem)
+        assert low <= ours.objective <= high

@@ -1,4 +1,4 @@
-"""The rejection solver against a frozen copy of its earlier implementation.
+"""The rejection solver against frozen copies of its earlier implementations.
 
 The copy below is ``solve_rejection_ilp`` and its helpers as they stood
 before the bounds became per-depth ``array('d')`` prefix sums searched with
@@ -8,6 +8,15 @@ must walk the same tree, so every field of a solution but its time must
 match: ``selected``, ``objective``, ``optimal`` and ``nodes_explored``.
 The copy reads the program in its earlier correction form, which
 ``RejectionIlp`` below builds from the problem's gains and needs.
+
+That copy also had a cover view, a search over pinned sets that ran when
+the greedy incumbent pinned at most half of the candidate features.  The
+solver has only the complement (pack) view now, so the copy takes its pack
+branch on every case and its cover helpers (``_cover_count``,
+``_SuffixBounds``, ``_search_cover`` and ``_INF``) are deleted; the rest
+is verbatim.
+The two-view solver, kept whole in ``two_view_rejected.py``, checks that
+the single view is never worse.
 """
 
 import heapq
@@ -20,6 +29,7 @@ import numpy as np
 import pytest
 
 import minaxp.rejected as rejected
+import two_view_rejected
 from minaxp import DEFAULT_EPSILON, ExplanationKind, Instance, LinearModel, RejectClassifier, unit_box
 from minaxp.model import cover_problem
 from minaxp.rejected import IlpSolution
@@ -45,22 +55,10 @@ class RejectionIlp:
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 30.0
 
-_INF = float("inf")
-
 # Exact per-depth suffix bounds are cached lazily up to this many undecided
 # variables (quadratic memory in the worst case); larger problems fall back
 # to a single global gain ranking, which is weaker but still admissible.
 _SUFFIX_EXACT_LIMIT = 3000
-
-
-def _cover_count(prefix_sums: np.ndarray, residual: float, eps: float) -> float:
-    """Minimum number of gains (given sorted-descending prefix sums) covering residual."""
-    if residual <= eps:
-        return 0.0
-    pos = int(np.searchsorted(prefix_sums, residual - eps, side="left"))
-    if pos >= prefix_sums.size:
-        return _INF
-    return float(pos + 1)
 
 
 class _TailPrefixSums:
@@ -89,26 +87,6 @@ class _TailPrefixSums:
             cached = np.cumsum(ordered[::-1] if self.descending else ordered)
             self.cache[family][depth] = cached
         return cached
-
-
-class _SuffixBounds(_TailPrefixSums):
-    """Cover-count lower bounds: gains largest first, the largest count is admissible."""
-
-    descending = True
-
-    def bound(self, depth: int, residual_up: float, residual_down: float) -> float:
-        best = _cover_count(self._prefix(0, depth), residual_up, self.eps)
-        if best == _INF:
-            return _INF
-        k_down = _cover_count(self._prefix(1, depth), residual_down, self.eps)
-        if k_down == _INF:
-            return _INF
-        if k_down > best:
-            best = k_down
-        k_sum = _cover_count(
-            self._prefix(2, depth), residual_up + residual_down, self.eps
-        )
-        return k_sum if k_sum > best else best
 
 
 class _Feasibility:
@@ -198,67 +176,6 @@ def _greedy_incumbent(
     return trimmed
 
 
-def _search_cover(
-    order, g_up, g_down, need_up, need_down, incumbent, feasible, deadline, eps
-):
-    """Best-first search over pinned-feature sets, few pins expected.
-
-    Heap entries: (lower bound, insertion sequence, count, depth, sum_up,
-    sum_down, chosen positions).  Insertion order breaks bound ties, with
-    include-children pushed first so deterministic runs prefer lower indices
-    among equally good solutions.
-    """
-    m = order.size
-    bounds = _SuffixBounds(g_up, g_down, eps)
-    best_count = len(incumbent)
-    best_set = incumbent
-    seq = 0
-    heap = []
-    root_lb = bounds.bound(0, need_up, need_down)
-    if root_lb < best_count:
-        heap.append((root_lb, seq, 0, 0, 0.0, 0.0, ()))
-    nodes = 0
-    optimal = True
-
-    while heap:
-        lb, _, count, depth, su, sd, chosen = heapq.heappop(heap)
-        if lb >= best_count:
-            break  # best-first: nothing left can improve the incumbent
-        if not deadline.alive(nodes):
-            optimal = False
-            break
-        nodes += 1
-
-        j = depth
-        # Pin order[j].
-        c_su = su + g_up[j]
-        c_sd = sd + g_down[j]
-        c_count = count + 1
-        c_chosen = chosen + (j,)
-        settled = False
-        if c_su >= need_up - eps and c_sd >= need_down - eps:
-            # running sums say feasible; confirm on canonical sums
-            if feasible.check(c_chosen):
-                settled = True
-                if c_count < best_count:
-                    best_count = c_count
-                    best_set = list(c_chosen)
-        if not settled and depth + 1 < m:
-            clb = c_count + bounds.bound(depth + 1, need_up - c_su, need_down - c_sd)
-            if clb < best_count:
-                seq += 1
-                heapq.heappush(heap, (clb, seq, c_count, depth + 1, c_su, c_sd, c_chosen))
-        # Leave order[j] free.
-        if depth + 1 < m:
-            xlb = count + bounds.bound(depth + 1, need_up - su, need_down - sd)
-            if xlb < best_count:
-                seq += 1
-                heapq.heappush(heap, (xlb, seq, count, depth + 1, su, sd, chosen))
-
-    selected = tuple(sorted(int(order[p]) for p in best_set))
-    return selected, len(best_set), nodes, optimal
-
-
 def _search_pack(
     order, c_up, c_down, budget_up, budget_down, removable, feasible, deadline, eps
 ):
@@ -345,11 +262,8 @@ def solve_rejection_ilp(
     ``optimal=False``; an incumbent always exists because the full feature
     set is feasible.
 
-    A starting incumbent comes from a greedy walk plus trim.  If it pins at
-    most half of the candidate features the search runs over pinned sets;
-    otherwise (the common case for rejections, which tend to pin almost
-    everything) it runs over the complement, the sets of features that can
-    be left free.
+    A starting incumbent comes from a greedy walk plus trim.  The search
+    runs over the complement, the sets of features that can be left free.
     """
     start = time.perf_counter()
     gain_up = -np.asarray(ilp.correction_up, dtype=float)
@@ -383,37 +297,24 @@ def solve_rejection_ilp(
         eps,
     )
 
-    if 2 * len(incumbent) <= active.size:
-        selected, objective, nodes, optimal = _search_cover(
-            cover_order,
-            gain_up[cover_order],
-            gain_down[cover_order],
-            need_up,
-            need_down,
-            incumbent,
-            cover_feasible,
-            deadline,
-            eps,
-        )
-    else:
-        # Complement view: cheapest-to-free features first, ties by index.
-        pack_order = active[np.lexsort((active, gain_up[active] + gain_down[active]))]
-        pack_feasible = _Feasibility(pack_order, gain_up, gain_down, need_up, need_down, eps)
-        incumbent_originals = {int(cover_order[p]) for p in incumbent}
-        removable = [
-            p for p in range(pack_order.size) if int(pack_order[p]) not in incumbent_originals
-        ]
-        selected, objective, nodes, optimal = _search_pack(
-            pack_order,
-            gain_up[pack_order],
-            gain_down[pack_order],
-            total_up - need_up,
-            total_down - need_down,
-            removable,
-            pack_feasible,
-            deadline,
-            eps,
-        )
+    # Complement view: cheapest-to-free features first, ties by index.
+    pack_order = active[np.lexsort((active, gain_up[active] + gain_down[active]))]
+    pack_feasible = _Feasibility(pack_order, gain_up, gain_down, need_up, need_down, eps)
+    incumbent_originals = {int(cover_order[p]) for p in incumbent}
+    removable = [
+        p for p in range(pack_order.size) if int(pack_order[p]) not in incumbent_originals
+    ]
+    selected, objective, nodes, optimal = _search_pack(
+        pack_order,
+        gain_up[pack_order],
+        gain_down[pack_order],
+        total_up - need_up,
+        total_down - need_down,
+        removable,
+        pack_feasible,
+        deadline,
+        eps,
+    )
 
     return IlpSolution(
         selected=selected,
@@ -433,8 +334,9 @@ def _rejected_problem(rng, i):
     """A rejected case with 2 to 250 features (log-uniform).
 
     Even cases: uniform weights and a narrow band, so that most features
-    stay pinned and the solver searches the pack view.  Odd cases: weights
-    +-exp(N(0, 1.5)) and a wide band, so that it searches the cover view.
+    stay pinned.  Odd cases: weights +-exp(N(0, 1.5)) and a wide band, so
+    that few features stay pinned (the two-view solver searched these over
+    pinned sets).
     Every other pair uses quarter-step weights and values and thresholds on
     sixteenths, so gains, sums and needs tie.
     """
@@ -476,18 +378,20 @@ def _same_answer(problem, node_limit):
     return new
 
 
-def test_same_tree_and_answers_in_both_views(cases, monkeypatch):
-    views = {"_search_cover": 0, "_search_pack": 0}
-    for name in views:
-        search = getattr(rejected, name)
+def test_same_tree_and_answers_in_the_pack_view(cases, monkeypatch):
+    searches = 0
+    search = rejected._search_pack
 
-        def counted(*args, name=name, search=search):
-            views[name] += 1
-            return search(*args)
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
 
-        monkeypatch.setattr(rejected, name, counted)
+    monkeypatch.setattr(rejected, "_search_pack", counted)
     solutions = [_same_answer(problem, NODE_CAP) for problem in cases]
-    assert min(views.values()) >= 100, views
+    # A case that needs no pin returns before any search.
+    needs_a_pin = sum(max(p.need_up, p.need_down) > DEFAULT_EPSILON for p in cases)
+    assert searches == needs_a_pin >= CASES - 5
     certified = sum(s.optimal for s in solutions)
     assert 300 <= certified < CASES  # mostly certified; some runs hit the cap
     assert sum(s.nodes_explored > 0 for s in solutions) >= 100
@@ -505,3 +409,12 @@ def test_same_tree_with_whole_order_bounds(cases, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "_SUFFIX_EXACT_LIMIT", 0)
     for problem in cases[:120]:
         _same_answer(problem, NODE_CAP)
+
+
+def test_single_view_never_worse_than_two_views(cases):
+    for problem in cases:
+        new = rejected.solve_rejection_ilp(problem, node_limit=NODE_CAP, time_limit=math.inf)
+        old = two_view_rejected.solve_rejection_ilp(problem, node_limit=NODE_CAP, time_limit=math.inf)
+        assert new.objective <= old.objective
+        assert new.optimal or not old.optimal
+        assert problem.holds(new.selected, DEFAULT_EPSILON)
