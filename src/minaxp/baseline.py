@@ -33,7 +33,7 @@ def _walk_down(start: float, gains: list, limit: float) -> array:
     return kept
 
 
-def deletion_explanation(problem: CoverProblem, eps: float = DEFAULT_EPSILON) -> Explanation:
+def deletion_explanation(problem: CoverProblem) -> Explanation:
     """Subset-minimal explanation of the problem's label.
 
     Validity under a removal is tracked incrementally: dropping feature j
@@ -43,8 +43,8 @@ def deletion_explanation(problem: CoverProblem, eps: float = DEFAULT_EPSILON) ->
     floats round exactly as numpy float64 scalars do, so the walk over plain
     lists keeps the same features.
     """
-    ceiling = problem.ceiling + eps
-    floor = problem.floor - eps
+    ceiling = problem.ceiling + DEFAULT_EPSILON
+    floor = problem.floor - DEFAULT_EPSILON
     if problem.label is Label.POSITIVE:
         kept = _walk_down(problem.score, problem.gain_down.tolist(), floor)
     elif problem.label is Label.NEGATIVE:
@@ -65,8 +65,6 @@ def deletion_explanation(problem: CoverProblem, eps: float = DEFAULT_EPSILON) ->
     return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
 
 
-def subset_minimal_explanation(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> Explanation:
+def subset_minimal_explanation(clf: RejectClassifier, instance: Instance) -> Explanation:
     """Subset-minimal explanation for whatever the instance's prediction is."""
-    return deletion_explanation(cover_problem(clf, instance, eps), eps)
+    return deletion_explanation(cover_problem(clf, instance))

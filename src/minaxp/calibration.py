@@ -53,7 +53,6 @@ def evaluate_risk(
     t_minus: float,
     t_plus: float,
     config: RiskConfig,
-    eps: float = DEFAULT_EPSILON,
 ) -> RiskReport:
     """Empirical risk of one threshold pair on labeled scores."""
     if not t_minus < t_plus:
@@ -62,8 +61,8 @@ def evaluate_risk(
     y = np.asarray(labels, dtype=int)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-d and of equal length")
-    pos_pred = s > t_plus + eps
-    neg_pred = s < t_minus - eps
+    pos_pred = s > t_plus + DEFAULT_EPSILON
+    neg_pred = s < t_minus - DEFAULT_EPSILON
     rejected = ~(pos_pred | neg_pred)
     m = s.size
     errors = int(np.count_nonzero(pos_pred & (y == -1))) + int(
@@ -94,7 +93,6 @@ def calibrate_thresholds(
     scores,
     labels,
     config: RiskConfig,
-    eps: float = DEFAULT_EPSILON,
 ) -> RiskReport:
     """Threshold pair of minimum empirical risk over the candidate grid.
 
@@ -124,11 +122,11 @@ def calibrate_thresholds(
 
     # Counts under the same strict-vs-band rule used by prediction:
     # a score is accepted negative iff score < t - eps, positive iff
-    # score > t + eps.
-    below_all = np.searchsorted(s_sorted, grid - eps, side="left")
-    below_pos = np.searchsorted(pos_sorted, grid - eps, side="left")
-    above_all = m - np.searchsorted(s_sorted, grid + eps, side="right")
-    above_neg = neg_sorted.size - np.searchsorted(neg_sorted, grid + eps, side="right")
+    # score > t + eps, with eps the global DEFAULT_EPSILON.
+    below_all = np.searchsorted(s_sorted, grid - DEFAULT_EPSILON, side="left")
+    below_pos = np.searchsorted(pos_sorted, grid - DEFAULT_EPSILON, side="left")
+    above_all = m - np.searchsorted(s_sorted, grid + DEFAULT_EPSILON, side="right")
+    above_neg = neg_sorted.size - np.searchsorted(neg_sorted, grid + DEFAULT_EPSILON, side="right")
 
     # risk(i, j) = f[i] + h[j] + wr for grid indices i < j.
     f = (below_pos - wr * below_all) / m
@@ -151,7 +149,7 @@ def calibrate_thresholds(
             best = key
     assert best is not None
     t_minus, t_plus = float(grid[best[2]]), float(grid[best[3]])
-    return evaluate_risk(s, y, t_minus, t_plus, config, eps)
+    return evaluate_risk(s, y, t_minus, t_plus, config)
 
 
 @dataclass(frozen=True)

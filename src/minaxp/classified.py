@@ -81,32 +81,26 @@ def _greedy_prefix(
     return Explanation(indices=chosen, kind=kind, certified_minimum=True), trace
 
 
-def greedy_explanation(
-    problem: CoverProblem, eps: float = DEFAULT_EPSILON
-) -> tuple[Explanation, GreedyTrace]:
+def greedy_explanation(problem: CoverProblem) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a classified problem: the greedy over its
     one constrained side, ``gain_down`` for POSITIVE and ``gain_up`` for NEGATIVE."""
     if problem.label is Label.POSITIVE:
         gains, need, kind = problem.gain_down, problem.need_down, ExplanationKind.POSITIVE
     else:
         gains, need, kind = problem.gain_up, problem.need_up, ExplanationKind.NEGATIVE
-    return _greedy_prefix(gains, problem.work, need, kind, eps)
+    return _greedy_prefix(gains, problem.work, need, kind, DEFAULT_EPSILON)
 
 
-def explain_positive(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> tuple[Explanation, GreedyTrace]:
+def explain_positive(clf: RejectClassifier, instance: Instance) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a POSITIVE prediction.
 
     The smallest gain-ordered prefix whose summed ``gain_down`` covers
     ``need_down = t_plus - bottom``; the pinned set keeps the worst-case
     lower score bound at or above ``t_plus``.
     """
-    return greedy_explanation(cover_problem(clf, instance, eps).expect(ExplanationKind.POSITIVE), eps)
+    return greedy_explanation(cover_problem(clf, instance).expect(ExplanationKind.POSITIVE))
 
 
-def explain_negative(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> tuple[Explanation, GreedyTrace]:
+def explain_negative(clf: RejectClassifier, instance: Instance) -> tuple[Explanation, GreedyTrace]:
     """Minimum-size explanation of a NEGATIVE prediction (mirror of the positive case)."""
-    return greedy_explanation(cover_problem(clf, instance, eps).expect(ExplanationKind.NEGATIVE), eps)
+    return greedy_explanation(cover_problem(clf, instance).expect(ExplanationKind.NEGATIVE))

@@ -32,7 +32,7 @@ from .dataio import (
     write_explanation_report,
 )
 from .explain import METHODS, explain_instance
-from .model import DEFAULT_EPSILON, DomainError, Instance, Label, predict
+from .model import DEFAULT_EPSILON, DomainError, Instance, Label
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
@@ -53,11 +53,27 @@ def _parse_label_column(value: str | None) -> str | int | None:
 _NO_LABEL = object()
 
 
-def _load(path, delimiter, label_col, scaling=None, scale=False) -> Dataset:
+def _load(path, delimiter, label_col, scaling=None) -> Dataset:
     column = _parse_label_column(label_col)
     if column is _NO_LABEL:
         raise ValueError("this command requires a label column")
-    return load_dataset(path, delimiter=delimiter, label_column=column, scaling=scaling, scale=scale)
+    return load_dataset(path, delimiter=delimiter, label_column=column, scaling=scaling)
+
+
+def _data_rows(args, bundle, limit) -> list:
+    """(row_number, values_after_scaling) for the first ``limit`` rows of
+    --data (all when ``limit`` is None); any label column is read and dropped."""
+    column = _parse_label_column(args.label_col)
+    if column is _NO_LABEL:
+        features, _ = load_feature_matrix(args.data, delimiter=args.delimiter)
+        if bundle.scaling is not None:
+            features = bundle.scaling.transform(features)
+    else:
+        data = load_dataset(
+            args.data, delimiter=args.delimiter, label_column=column, scaling=bundle.scaling
+        )
+        features = data.features
+    return list(enumerate(features[:limit]))
 
 
 def _stratified_split(labels: np.ndarray, train_fraction: float, seed: int):
@@ -177,20 +193,7 @@ def _instances_from_args(args, bundle):
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
         return [(0, values)]
-    column = _parse_label_column(args.label_col)
-    if column is _NO_LABEL:
-        features, _ = load_feature_matrix(args.data, delimiter=args.delimiter)
-        if bundle.scaling is not None:
-            features = bundle.scaling.transform(features)
-    else:
-        data = load_dataset(
-            args.data, delimiter=args.delimiter, label_column=column, scaling=bundle.scaling
-        )
-        features = data.features
-    rows = list(enumerate(features))
-    if args.limit is not None:
-        rows = rows[: args.limit]
-    return rows
+    return _data_rows(args, bundle, args.limit)
 
 
 def _check_limits(args) -> None:
@@ -232,49 +235,45 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _agrees_with_brute_force(clf, instance) -> bool:
-    """Whether the record ``explain`` writes is certified and of the minimum size."""
-    (record,) = explain_instance(clf, instance, 0)
-    return record.certified_minimum and record.size == brute_force_minimum(clf, instance).size
-
-
-def _verify_random(args) -> tuple[int, int, int, int]:
-    rng = np.random.default_rng(args.seed)
-    classified_ok = rejected_ok = 0
-    for i in range(args.cases):
-        n = int(rng.integers(2, args.max_n + 1))
-        label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
-        classified_ok += _agrees_with_brute_force(*random_case(rng, n, label))
-    for _ in range(args.cases):
-        n = int(rng.integers(2, args.max_n + 1))
-        rejected_ok += _agrees_with_brute_force(*random_case(rng, n, Label.REJECT))
-    return classified_ok, args.cases, rejected_ok, args.cases
-
-
-def _verify_data(args) -> tuple[int, int, int, int]:
-    bundle = load_model(args.model)
-    clf = bundle.classifier()
-    if clf.model.n_features > args.max_n:
-        raise ValueError(
-            f"model has {clf.model.n_features} features; verification is capped at --max-n {args.max_n}"
-        )
-    data = _load(args.data, args.delimiter, args.label_col, scaling=bundle.scaling)
-    rows = data.features[: args.cases] if args.cases else data.features
+def _verify_cases(cases) -> tuple[int, int, int, int]:
+    """Brute-force agreement over ``(clf, instance)`` pairs, as classified ok,
+    classified total, rejected ok and rejected total.  Each pair counts under
+    the label of the record ``explain`` writes, and agrees when that record is
+    certified and of the minimum size; out-of-domain rows are skipped."""
     classified_ok = classified_total = rejected_ok = rejected_total = 0
-    for values in rows:
+    for clf, instance in cases:
         try:
-            instance = Instance.validated(clf.model, values)
+            (record,) = explain_instance(clf, instance, 0)
         except DomainError:
             continue
-        label = predict(clf, instance).label
-        ok = _agrees_with_brute_force(clf, instance)
-        if label is Label.REJECT:
+        ok = record.certified_minimum and record.size == brute_force_minimum(clf, instance).size
+        if record.label == Label.REJECT.value:
             rejected_total += 1
             rejected_ok += ok
         else:
             classified_total += 1
             classified_ok += ok
     return classified_ok, classified_total, rejected_ok, rejected_total
+
+
+def _random_cases(args):
+    rng = np.random.default_rng(args.seed)
+    for i in range(args.cases):
+        n = int(rng.integers(2, args.max_n + 1))
+        yield random_case(rng, n, Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
+    for _ in range(args.cases):
+        n = int(rng.integers(2, args.max_n + 1))
+        yield random_case(rng, n, Label.REJECT)
+
+
+def _data_cases(args):
+    bundle = load_model(args.model)
+    clf = bundle.classifier()
+    if clf.model.n_features > args.max_n:
+        raise ValueError(
+            f"model has {clf.model.n_features} features; verification is capped at --max-n {args.max_n}"
+        )
+    return ((clf, Instance(values)) for _, values in _data_rows(args, bundle, args.cases or None))
 
 
 def cmd_verify(args) -> int:
@@ -287,10 +286,8 @@ def cmd_verify(args) -> int:
     if args.cases == 0 and args.data is None:
         print("warning: --cases 0, nothing verified")
         return EXIT_OK
-    if args.data is not None:
-        c_ok, c_total, r_ok, r_total = _verify_data(args)
-    else:
-        c_ok, c_total, r_ok, r_total = _verify_random(args)
+    cases = _data_cases(args) if args.data is not None else _random_cases(args)
+    c_ok, c_total, r_ok, r_total = _verify_cases(cases)
     print(f"{c_ok}/{c_total} classified, {r_ok}/{r_total} rejected agree with brute force")
     if c_ok != c_total or r_ok != r_total:
         print("verification FAILED: explanation size does not match the brute-force minimum", file=sys.stderr)
@@ -304,13 +301,9 @@ def cmd_benchmark(args) -> int:
     _check_limits(args)
     bundle = load_model(args.model)
     clf = bundle.classifier()
-    data = _load(args.data, args.delimiter, args.label_col, scaling=bundle.scaling)
-    rows = list(enumerate(data.features))
-    if args.limit is not None:
-        rows = rows[: args.limit]
     records: list[ExplanationRecord] = []
     skipped = 0
-    for instance_id, values in rows:
+    for instance_id, values in _data_rows(args, bundle, args.limit):
         instance = Instance(values)
         try:
             for method in ("minabro", "baseline") if args.method == "both" else (args.method,):

@@ -123,9 +123,15 @@ def _read_numeric_table(path: Path, delimiter: str) -> tuple[list[str], np.ndarr
 
 
 def load_feature_matrix(path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...]]:
-    """Read a header-plus-rows text file where every column is a feature."""
+    """Read a header-plus-rows text file where every column is a feature.
+
+    The columns are selected as :func:`load_dataset` selects its feature
+    columns, so a row comes out in the same memory layout either way: the
+    order in which a score's dot product is summed, and so its last bits,
+    follows the row's layout.
+    """
     header, matrix = _read_numeric_table(Path(path), delimiter)
-    return matrix, tuple(header)
+    return matrix[:, list(range(len(header)))], tuple(header)
 
 
 def load_dataset(

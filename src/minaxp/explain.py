@@ -12,14 +12,7 @@ import time
 from .baseline import deletion_explanation
 from .classified import greedy_explanation
 from .dataio import ExplanationRecord
-from .model import (
-    DEFAULT_EPSILON,
-    Explanation,
-    Instance,
-    Label,
-    RejectClassifier,
-    cover_problem,
-)
+from .model import Explanation, Instance, Label, RejectClassifier, cover_problem
 from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
@@ -30,19 +23,14 @@ from .rejected import (
 METHODS = ("minabro", "baseline", "both")
 
 
-def boundary_tight(
-    clf: RejectClassifier,
-    instance: Instance,
-    explanation: Explanation,
-    eps: float = DEFAULT_EPSILON,
-) -> bool:
-    """Whether a bound of this explanation sits within eps of its threshold.
+def boundary_tight(clf: RejectClassifier, instance: Instance, explanation: Explanation) -> bool:
+    """Whether a bound of this explanation sits within the tolerance of its threshold.
 
     Such explanations are valid under the non-strict reading but would be
     arguable under a strict one; reports flag them for inspection.  The
     explanation's kind must be the one the instance's prediction calls for.
     """
-    return cover_problem(clf, instance, eps).expect(explanation.kind).tight(explanation.index_array, eps)
+    return cover_problem(clf, instance).expect(explanation.kind).tight(explanation.index_array)
 
 
 def explain_instance(
@@ -52,7 +40,6 @@ def explain_instance(
     method: str = "minabro",
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
-    eps: float = DEFAULT_EPSILON,
 ) -> list[ExplanationRecord]:
     """Explain one instance with the requested method(s), returning report records.
 
@@ -61,24 +48,24 @@ def explain_instance(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    problem = cover_problem(clf, instance, eps)
+    problem = cover_problem(clf, instance)
 
     records = []
     for name in ("minabro", "baseline") if method == "both" else (method,):
         nodes = None
         start = time.perf_counter()
         if name == "baseline":
-            explanation = deletion_explanation(problem, eps)
+            explanation = deletion_explanation(problem)
         elif problem.label is Label.REJECT:
-            solution = solve_rejection_ilp(problem, node_limit, time_limit, eps)
-            explanation = lift_solution(problem, solution, eps)
+            solution = solve_rejection_ilp(problem, node_limit, time_limit)
+            explanation = lift_solution(problem, solution)
             nodes = solution.nodes_explored
         else:
-            explanation, _ = greedy_explanation(problem, eps)
+            explanation, _ = greedy_explanation(problem)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         records.append(ExplanationRecord(
             instance_id, problem.label.value, problem.score, explanation.kind.value,
             explanation.indices, explanation.size, explanation.certified_minimum, name,
-            elapsed_ms, nodes, problem.tight(explanation.index_array, eps),
+            elapsed_ms, nodes, problem.tight(explanation.index_array),
         ))
     return records

@@ -36,9 +36,9 @@ def _epsilon_from_env() -> float:
     return eps
 
 
-# Single global comparison tolerance for all threshold checks.  Overridable
-# through the environment so downstream pipelines can tighten or relax it
-# without touching call sites.
+# Single global comparison tolerance for all threshold checks.  Every stage
+# reads this constant; ``MINAXP_EPSILON``, read once at import, is the only
+# way to set it.
 DEFAULT_EPSILON = _epsilon_from_env()
 
 
@@ -286,24 +286,20 @@ def score(model: LinearModel, instance: Instance) -> float:
     return float(dot + model.bias)
 
 
-def label_for_score(
-    s: float, t_minus: float, t_plus: float, eps: float = DEFAULT_EPSILON
-) -> Label:
+def label_for_score(s: float, t_minus: float, t_plus: float) -> Label:
     """Three-way label of a score: strict threshold crossings classify, the
     closed middle band rejects."""
-    if s > t_plus + eps:
+    if s > t_plus + DEFAULT_EPSILON:
         return Label.POSITIVE
-    if s < t_minus - eps:
+    if s < t_minus - DEFAULT_EPSILON:
         return Label.NEGATIVE
     return Label.REJECT
 
 
-def predict(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> Prediction:
+def predict(clf: RejectClassifier, instance: Instance) -> Prediction:
     """Classify or reject an instance."""
     s = score(clf.model, instance)
-    return Prediction(label_for_score(s, clf.t_minus, clf.t_plus, eps), s)
+    return Prediction(label_for_score(s, clf.t_minus, clf.t_plus), s)
 
 
 @dataclass(frozen=True)
@@ -314,9 +310,9 @@ class CoverProblem:
     ``gain_up[j]`` and raises the smallest by ``gain_down[j]``; with nothing
     pinned they sit at ``top`` and ``bottom``.  An explanation of ``kind``
     must hold them at or below ``ceiling`` and at or above ``floor`` (within
-    eps), that is, its pinned gains must add up to ``need_up`` and
-    ``need_down``.  A side the label leaves free has an infinite limit, so
-    every check reads the same for all three kinds.
+    ``DEFAULT_EPSILON``), that is, its pinned gains must add up to
+    ``need_up`` and ``need_down``.  A side the label leaves free has an
+    infinite limit, so every check reads the same for all three kinds.
     """
 
     label: Label
@@ -358,22 +354,20 @@ class CoverProblem:
             float(self.bottom + self.gain_down[idx].sum()),
         )
 
-    def holds(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
+    def holds(self, idx: np.ndarray) -> bool:
         """Whether pinning ``idx`` (sorted, unique, in range) forces the label."""
         smax, smin = self._bounds(idx)
-        return smax <= self.ceiling + eps and smin >= self.floor - eps
+        return smax <= self.ceiling + DEFAULT_EPSILON and smin >= self.floor - DEFAULT_EPSILON
 
-    def tight(self, idx: np.ndarray, eps: float = DEFAULT_EPSILON) -> bool:
-        """Whether a bound with ``idx`` pinned sits within eps of its limit."""
+    def tight(self, idx: np.ndarray) -> bool:
+        """Whether a bound with ``idx`` pinned sits within the tolerance of its limit."""
         smax, smin = self._bounds(idx)
-        return abs(smax - self.ceiling) <= eps or abs(smin - self.floor) <= eps
+        return abs(smax - self.ceiling) <= DEFAULT_EPSILON or abs(smin - self.floor) <= DEFAULT_EPSILON
 
 
-def cover_problem(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> CoverProblem:
+def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
     """Validate, score and label one instance and work out its gains, once."""
-    pred = predict(clf, instance, eps)
+    pred = predict(clf, instance)
     if pred.label is Label.POSITIVE:
         ceiling, floor = np.inf, clf.t_plus
     elif pred.label is Label.NEGATIVE:
@@ -418,7 +412,6 @@ def is_valid_explanation(
     instance: Instance,
     fixed: Iterable[int],
     kind: ExplanationKind,
-    eps: float = DEFAULT_EPSILON,
 ) -> bool:
     """Whether pinning ``fixed`` forces the prediction of the given kind.
 
@@ -427,5 +420,5 @@ def is_valid_explanation(
     REJECTION confines both bounds to the rejection band.  The instance's
     own prediction must already match ``kind``.
     """
-    problem = cover_problem(clf, instance, eps).expect(kind)
-    return problem.holds(_as_index_array(fixed, problem.gain_up.size), eps)
+    problem = cover_problem(clf, instance).expect(kind)
+    return problem.holds(_as_index_array(fixed, problem.gain_up.size))

@@ -30,9 +30,7 @@ from .model import (
 MAX_ORACLE_FEATURES = 20
 
 
-def brute_force_minimum(
-    clf: RejectClassifier, instance: Instance, eps: float = DEFAULT_EPSILON
-) -> Explanation:
+def brute_force_minimum(clf: RejectClassifier, instance: Instance) -> Explanation:
     """Smallest valid explanation found by exhaustive subset enumeration.
 
     Subsets are visited in order of increasing cardinality and
@@ -45,11 +43,11 @@ def brute_force_minimum(
         raise ValueError(
             f"brute force enumeration refused for n={n} > {MAX_ORACLE_FEATURES}"
         )
-    problem = cover_problem(clf, instance, eps)
+    problem = cover_problem(clf, instance)
     # Each kind reduces to covering demands with the per-feature gains; a
     # side the label leaves free needs -inf and is not checked.
     pairs = ((problem.gain_down, problem.need_down), (problem.gain_up, problem.need_up))
-    sides = [(gains.tolist(), need - eps) for gains, need in pairs if need != -np.inf]
+    sides = [(gains.tolist(), need - DEFAULT_EPSILON) for gains, need in pairs if need != -np.inf]
     for k in range(n + 1):
         for subset in combinations(range(n), k):
             if all(sum(gains[j] for j in subset) >= need for gains, need in sides):
@@ -75,13 +73,13 @@ def sampled_sufficiency_check(
     kind: ExplanationKind,
     trials: int = 1000,
     seed: int = 0,
-    eps: float = DEFAULT_EPSILON,
 ) -> bool:
     """Randomized validation that a fixed set really forces the prediction.
 
     Draws ``trials`` uniform completions of the free features plus the two
     extremal corner completions and checks that every completed score lands
-    on the expected side of the thresholds, with eps slack at the boundary.
+    on the expected side of the thresholds, with ``DEFAULT_EPSILON`` slack
+    at the boundary.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -101,7 +99,7 @@ def sampled_sufficiency_check(
         points = np.vstack([points, sampled])
 
     scores = points @ model.weights + model.bias
-    slack = 2 * eps  # validity guarantees eps; allow eps more for roundoff
+    slack = 2 * DEFAULT_EPSILON  # validity guarantees one tolerance; allow one more for roundoff
     if kind is ExplanationKind.POSITIVE:
         ok = scores >= clf.t_plus - slack
     elif kind is ExplanationKind.NEGATIVE:

@@ -121,10 +121,10 @@ def test_criterion_3_sufficiency_of_every_emitted_explanation():
     violations = 0
     for seed, (clf, instance, explanation) in enumerate(population):
         closed_form = is_valid_explanation(
-            clf, instance, explanation.indices, explanation.kind, eps=EPS
+            clf, instance, explanation.indices, explanation.kind
         )
         sampled = sampled_sufficiency_check(
-            clf, instance, explanation.indices, explanation.kind, trials=1000, seed=seed, eps=EPS
+            clf, instance, explanation.indices, explanation.kind, trials=1000, seed=seed
         )
         violations += int(not (closed_form and sampled))
     assert violations == 0

@@ -79,7 +79,7 @@ def test_deterministic(band_case):
 
 def _reference_deletion(clf, instance, eps=DEFAULT_EPSILON):
     """The deletion walk one numpy scalar at a time, with the kind tested per index."""
-    pred = predict(clf, instance, eps)
+    pred = predict(clf, instance)
     kind = kind_for_label(pred.label)
     problem = cover_problem(clf, instance)
     smax = smin = pred.score

@@ -179,7 +179,9 @@ class TestExplainInputs:
             == 0
         )
 
-    def test_label_free_csv(self, pipeline_paths, tmp_path):
+    def test_label_free_csv(self, pipeline_paths, tmp_path, capsys):
+        # The commands that read no labels take --label-col none and give
+        # what they give with the label column present.
         p = pipeline_paths
         assert run_train(p) == 0
         assert run_calibrate(p) == 0
@@ -187,22 +189,29 @@ class TestExplainInputs:
         rows = p["test"].read_text().splitlines()
         stripped = [",".join(line.split(",")[:-1]) for line in rows]
         plain.write_text("\n".join(stripped) + "\n")
-        report = tmp_path / "plain.jsonl"
-        assert (
-            cli.main(
-                [
-                    "explain",
-                    "--model", str(p["calibrated"]),
-                    "--data", str(plain),
-                    "--label-col", "none",
-                    "--limit", "5",
-                    "--out-report", str(report),
-                ]
-            )
-            == 0
-        )
-        records, _ = read_explanation_report(report)
-        assert len(records) == 5
+        report = tmp_path / "report.jsonl"
+        for command in ("explain", "benchmark", "verify"):
+            outcomes = []
+            for data, label_col in ((p["test"], []), (plain, ["--label-col", "none"])):
+                argv = [command, "--model", str(p["calibrated"]), "--data", str(data), *label_col]
+                capsys.readouterr()
+                if command == "verify":
+                    code = cli.main(argv + ["--cases", "0"])
+                    outcomes.append((code, capsys.readouterr().out))
+                else:
+                    code = cli.main(argv + ["--out-report", str(report)])
+                    records, _ = read_explanation_report(report)
+                    outcomes.append((code, [dataclasses.replace(r, time_ms=0.0) for r in records]))
+            assert outcomes[0] == outcomes[1], command
+            code, output = outcomes[0]
+            assert code == 0
+            if command == "verify":
+                assert output == "62/62 classified, 5/5 rejected agree with brute force\n"
+            else:
+                assert {r.label for r in output} == {"POSITIVE", "NEGATIVE", "REJECT"}
+        argv = ["explain", "--model", str(p["calibrated"]), "--data", str(plain), "--label-col", "none"]
+        assert cli.main(argv + ["--limit", "5", "--out-report", str(report)]) == 0
+        assert len(read_explanation_report(report)[0]) == 5
 
 
 class TestSpecFixtures:
@@ -330,6 +339,26 @@ class TestEnvironment:
         )
         assert out.returncode == 0, out.stderr
         assert float(out.stdout.strip()) == 0.0
+
+    @pytest.mark.parametrize(
+        "value, indices, tight", [("1e-9", [0, 1], False), ("1e-6", [0], True)]
+    )
+    def test_epsilon_reaches_every_stage(self, value, indices, tight):
+        # s_min with feature 0 pinned is 1.0, 5e-7 below t_plus: outside the
+        # default tolerance, inside 1e-6.
+        script = (
+            "import json; import numpy as np; import minaxp as m\n"
+            "model = m.LinearModel(np.array([1.0, 1.0]), 0.0, m.unit_box(2))\n"
+            "clf = m.RejectClassifier(model, -1.0, 1.0 + 5e-7)\n"
+            "records = m.explain_instance(clf, m.Instance(np.array([1.0, 0.5])), 0, method='both')\n"
+            "print(json.dumps([[r.method, r.label, list(r.indices), r.boundary_tight] for r in records]))\n"
+        )
+        out = run_python(["-c", script], env={"MINAXP_EPSILON": value})
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [
+            ["minabro", "POSITIVE", indices, tight],
+            ["baseline", "POSITIVE", indices, tight],
+        ]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
     def test_bad_epsilon_refused_at_import(self, value):
@@ -476,8 +505,8 @@ class TestExitCodes:
 
         real = explain.greedy_explanation
 
-        def padded(problem, eps=1e-9):
-            explanation, trace = real(problem, eps)
+        def padded(problem):
+            explanation, trace = real(problem)
             spare = [j for j in range(problem.gain_up.size) if j not in explanation.indices]
             if not spare:
                 return explanation, trace

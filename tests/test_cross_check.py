@@ -104,7 +104,7 @@ def _rejection_minimum(problem):
     gains = np.vstack([problem.gain_up, problem.gain_down])
     need = np.array([problem.need_up, problem.need_down]) - EPS
     low, picked = _highs_minimum(gains, need)
-    if problem.holds(picked, EPS):
+    if problem.holds(picked):
         return low, low
     high, _ = _highs_minimum(gains, need + 1e-6 * np.maximum(1.0, np.abs(need)))
     return low, high
@@ -146,7 +146,7 @@ def test_rejection_solver_matches_external_milp_beyond_100_features():
     for problem in _wide_rejected_cases():
         ours = solve_rejection_ilp(problem)
         assert ours.optimal
-        assert problem.holds(ours.selected, EPS)
+        assert problem.holds(ours.selected)
         low, high = _rejection_minimum(problem)
         assert low <= ours.objective <= high
         exact += low == high
@@ -175,6 +175,6 @@ def test_rejection_solver_matches_external_milp_on_wide_bands():
     for problem in _wide_band_cases():
         ours = solve_rejection_ilp(problem, node_limit=200_000, time_limit=math.inf)
         assert ours.optimal
-        assert problem.holds(ours.selected, EPS)
+        assert problem.holds(ours.selected)
         low, high = _rejection_minimum(problem)
         assert low <= ours.objective <= high

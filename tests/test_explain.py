@@ -42,7 +42,7 @@ def _reference_tight(clf, instance, explanation, eps):
 def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
     """``explain_instance`` as a composition of the public per-explainer
     functions, each of which starts again from ``(clf, instance)``."""
-    pred = predict(clf, instance, eps)
+    pred = predict(clf, instance)
 
     def record(explanation, name, nodes):
         return ExplanationRecord(
@@ -63,17 +63,17 @@ def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
     if method in ("minabro", "both"):
         nodes = None
         if pred.label is Label.POSITIVE:
-            explanation, _ = explain_positive(clf, instance, eps)
+            explanation, _ = explain_positive(clf, instance)
         elif pred.label is Label.NEGATIVE:
-            explanation, _ = explain_negative(clf, instance, eps)
+            explanation, _ = explain_negative(clf, instance)
         else:
-            problem = cover_problem(clf, instance, eps)
-            solution = solve_rejection_ilp(problem, eps=eps)
-            explanation = lift_solution(problem, solution, eps)
+            problem = cover_problem(clf, instance)
+            solution = solve_rejection_ilp(problem)
+            explanation = lift_solution(problem, solution)
             nodes = solution.nodes_explored
         records.append(record(explanation, "minabro", nodes))
     if method in ("baseline", "both"):
-        records.append(record(subset_minimal_explanation(clf, instance, eps), "baseline", None))
+        records.append(record(subset_minimal_explanation(clf, instance), "baseline", None))
     return records
 
 

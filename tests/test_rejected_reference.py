@@ -417,4 +417,4 @@ def test_single_view_never_worse_than_two_views(cases):
         old = two_view_rejected.solve_rejection_ilp(problem, node_limit=NODE_CAP, time_limit=math.inf)
         assert new.objective <= old.objective
         assert new.optimal or not old.optimal
-        assert problem.holds(new.selected, DEFAULT_EPSILON)
+        assert problem.holds(new.selected)
