@@ -32,7 +32,7 @@ from .dataio import (
     write_explanation_report,
 )
 from .explain import METHODS, explain_instance
-from .model import DEFAULT_EPSILON, DomainError, Instance, Label
+from .model import DEFAULT_EPSILON, DomainError, Instance, Label, score_from_products
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
@@ -127,11 +127,11 @@ def cmd_train(args) -> int:
     )
     save_model(ModelBundle(model=model, scaling=scaling), args.out_model)
 
-    train_scores = X[train_idx] @ model.weights + model.bias
+    train_scores = score_from_products(X[train_idx] * model.weights, model.bias)
     print(f"trained on {train_idx.size} instances, {X.shape[1]} features")
     print(f"train accuracy (no reject option): {_accuracy_without_reject(train_scores, y[train_idx]):.4f}")
     if test_idx.size:
-        test_scores = X[test_idx] @ model.weights + model.bias
+        test_scores = score_from_products(X[test_idx] * model.weights, model.bias)
         print(f"test accuracy (no reject option): {_accuracy_without_reject(test_scores, y[test_idx]):.4f}")
     if args.out_train:
         _write_rows(args.out_train, list(data.feature_names) + [data.label_name], X_raw[train_idx], y[train_idx], args.delimiter)
@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     bundle = load_model(args.model)
     data = _load(args.data, args.delimiter, args.label_col, scaling=bundle.scaling)
-    scores = data.features @ bundle.model.weights + bundle.model.bias
+    scores = score_from_products(data.features * bundle.model.weights, bundle.model.bias)
     report = calibrate_thresholds(scores, data.labels, RiskConfig(args.wr))
     save_model(bundle.with_thresholds(report.t_minus, report.t_plus), args.out_model)
 

@@ -29,7 +29,7 @@ class ScalingInfo:
 
     ``transform`` maps a training feature into [0, 1]; unseen data may land
     outside that interval and is deliberately not clipped here.  Constant
-    features map to 0 by convention.
+    features map to 0 by convention.  Data of another width is refused.
     """
 
     mins: np.ndarray
@@ -51,6 +51,8 @@ class ScalingInfo:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=float)
+        if X.shape[-1] != self.mins.size:
+            raise ValueError(f"scaling covers {self.mins.size} features, data has {X.shape[-1]}")
         span = self.maxs - self.mins
         safe = np.where(span == 0.0, 1.0, span)
         out = (X - self.mins) / safe
@@ -123,15 +125,9 @@ def _read_numeric_table(path: Path, delimiter: str) -> tuple[list[str], np.ndarr
 
 
 def load_feature_matrix(path, delimiter: str = ",") -> tuple[np.ndarray, tuple[str, ...]]:
-    """Read a header-plus-rows text file where every column is a feature.
-
-    The columns are selected as :func:`load_dataset` selects its feature
-    columns, so a row comes out in the same memory layout either way: the
-    order in which a score's dot product is summed, and so its last bits,
-    follows the row's layout.
-    """
+    """Read a header-plus-rows text file where every column is a feature."""
     header, matrix = _read_numeric_table(Path(path), delimiter)
-    return matrix[:, list(range(len(header)))], tuple(header)
+    return matrix, tuple(header)
 
 
 def load_dataset(
@@ -167,23 +163,18 @@ def load_dataset(
     if not 0 <= label_idx < len(header):
         raise ValueError(f"{path}: label column index {label_column} out of range")
 
-    feature_idx = [j for j in range(len(header)) if j != label_idx]
-    features = matrix[:, feature_idx]
+    features = np.delete(matrix, label_idx, axis=1)
     labels = _normalize_labels(matrix[:, label_idx], header[label_idx])
 
     if scale:
         scaling = ScalingInfo.fit(features)
     if scaling is not None:
-        if scaling.mins.size != features.shape[1]:
-            raise ValueError(
-                f"{path}: scaling covers {scaling.mins.size} features, data has {features.shape[1]}"
-            )
         features = scaling.transform(features)
 
     return Dataset(
         features=features,
         labels=labels,
-        feature_names=tuple(header[j] for j in feature_idx),
+        feature_names=tuple(header[:label_idx] + header[label_idx + 1 :]),
         label_name=header[label_idx],
         scaling=scaling,
     )

@@ -272,18 +272,22 @@ class Explanation:
         return hash(self._key())
 
 
-def score(model: LinearModel, instance: Instance) -> float:
-    """Linear score ``w . x + b``, its dot taken in blocks of 8192 features.
+def score_from_products(products: np.ndarray, bias: float):
+    """The score ``w . x + b`` of each row of ``products = w * x``: numpy's
+    pairwise sum along the last axis, plus ``bias``.
 
-    OpenBLAS hands a longer dot to its thread pool, whose hand-off stalls
-    under host load and whose rounding follows the machine's thread count.
+    This is the one definition of the score.  Given contiguous rows (a 1-d
+    array or a C-ordered matrix), a row's bits depend on its values alone:
+    a matrix gives each row the bits that row gets on its own.
     """
+    return products.sum(axis=-1) + bias
+
+
+def score(model: LinearModel, instance: Instance) -> float:
+    """Validate the instance and return its score ``w . x + b``, as
+    :func:`score_from_products` defines it."""
     validate_instance(model, instance)
-    w, x = model.weights, instance.values
-    dot = w[:8192] @ x[:8192]
-    for i in range(8192, w.size, 8192):
-        dot += w[i : i + 8192] @ x[i : i + 8192]
-    return float(dot + model.bias)
+    return float(score_from_products(model.weights * instance.values, model.bias))
 
 
 def label_for_score(s: float, t_minus: float, t_plus: float) -> Label:
@@ -367,21 +371,23 @@ class CoverProblem:
 
 def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
     """Validate, score and label one instance and work out its gains, once."""
-    pred = predict(clf, instance)
-    if pred.label is Label.POSITIVE:
-        ceiling, floor = np.inf, clf.t_plus
-    elif pred.label is Label.NEGATIVE:
-        ceiling, floor = clf.t_minus, -np.inf
-    else:
-        ceiling, floor = clf.t_plus, clf.t_minus
     model = clf.model
+    validate_instance(model, instance)
     # The gains and the greedy's work rows share one block: separate n-length
     # arrays get trimmed off the heap and faulted back in on every call.  IEEE
     # multiplication is monotone, so the gains are non-negative as computed.
     block = np.empty((4, model.n_features))
     beta = np.multiply(model.weights, instance.values, block[2])
+    s = float(score_from_products(beta, model.bias))
+    label = label_for_score(s, clf.t_minus, clf.t_plus)
+    if label is Label.POSITIVE:
+        ceiling, floor = np.inf, clf.t_plus
+    elif label is Label.NEGATIVE:
+        ceiling, floor = clf.t_minus, -np.inf
+    else:
+        ceiling, floor = clf.t_plus, clf.t_minus
     return CoverProblem(
-        pred.label, _KIND_FOR_LABEL[pred.label], pred.score,
+        label, _KIND_FOR_LABEL[label], s,
         np.subtract(model.alpha_max, beta, block[0]), np.subtract(beta, model.alpha_min, block[1]),
         model.top, model.bottom, ceiling, floor, (beta, block[3]),
     )

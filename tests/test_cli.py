@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import minaxp.cli as cli
-from minaxp import Explanation, ExplanationKind, load_model, read_explanation_report
+from minaxp import (
+    Explanation,
+    ExplanationKind,
+    LinearModel,
+    ModelBundle,
+    load_dataset,
+    load_model,
+    read_explanation_report,
+    save_model,
+    unit_box,
+)
 
 from conftest import make_overlap_dataset, write_csv
 
@@ -212,6 +222,59 @@ class TestExplainInputs:
         argv = ["explain", "--model", str(p["calibrated"]), "--data", str(plain), "--label-col", "none"]
         assert cli.main(argv + ["--limit", "5", "--out-report", str(report)]) == 0
         assert len(read_explanation_report(report)[0]) == 5
+
+    def test_label_free_csv_of_another_width_is_refused(self, pipeline_paths, tmp_path, capsys):
+        p = pipeline_paths
+        assert run_train(p) == 0
+        assert run_calibrate(p) == 0
+        short = tmp_path / "short.csv"
+        rows = p["test"].read_text().splitlines()
+        short.write_text("\n".join(",".join(line.split(",")[:-2]) for line in rows) + "\n")
+        report = ["--out-report", str(tmp_path / "report.jsonl")]
+        for command, extra in (("explain", report), ("verify", []), ("benchmark", report)):
+            capsys.readouterr()
+            argv = [command, "--model", str(p["calibrated"]), "--data", str(short), "--label-col", "none"]
+            assert cli.main(argv + extra) == cli.EXIT_INPUT_ERROR, command
+            assert capsys.readouterr().err == "error: scaling covers 4 features, data has 3\n"
+
+    def test_instance_json_matches_the_csv_row(self, pipeline_paths, tmp_path):
+        # A row scores the same bits whether it arrives as JSON or as a CSV
+        # row.  Under a layout-dependent score, rows 5 and 12 of this split
+        # and row 1 of the wide file came out differently.
+        p = pipeline_paths
+        assert run_train(p) == 0
+        assert run_calibrate(p) == 0
+        json_records, csv_records = _rows_both_ways(p["calibrated"], p["test"], tmp_path)
+        assert len(csv_records) > 60
+        assert json_records == csv_records
+        n = 8193
+        rng = np.random.default_rng(n)
+        wide_model = tmp_path / "wide.json"
+        save_model(ModelBundle(LinearModel(rng.normal(size=n), 0.0, unit_box(n)), -1.0, 1.0), wide_model)
+        wide_data = tmp_path / "wide.csv"
+        write_csv(wide_data, rng.random((2, n)), np.array([1, -1]))
+        json_records, csv_records = _rows_both_ways(wide_model, wide_data, tmp_path)
+        assert len(csv_records) == 4
+        assert json_records == csv_records
+
+
+def _rows_both_ways(model, data, tmp_path):
+    """``explain --method both`` records of every row of ``data``: once from
+    ``--instance-json`` with the row's raw values, row by row, and once from
+    ``--data``; ``time_ms`` masked, and JSON rows numbered as in the file."""
+    report = tmp_path / "rows.jsonl"
+    argv = ["explain", "--model", str(model), "--method", "both", "--out-report", str(report)]
+
+    def records(source, instance_id=None):
+        assert cli.main(argv + source) == 0
+        return [
+            dataclasses.replace(r, time_ms=0.0, instance_id=r.instance_id if instance_id is None else instance_id)
+            for r in read_explanation_report(report)[0]
+        ]
+
+    rows = load_dataset(data).features.tolist()
+    by_json = [r for i, row in enumerate(rows) for r in records(["--instance-json", json.dumps(row)], i)]
+    return by_json, records(["--data", str(data)])
 
 
 class TestSpecFixtures:

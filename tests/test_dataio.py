@@ -103,6 +103,19 @@ class TestDataset:
         data = load_dataset(path, delimiter=";")
         assert data.features.shape == (2, 1)
 
+    @pytest.mark.parametrize("label_column", [None, 0])
+    def test_feature_rows_are_contiguous(self, tmp_path, label_column):
+        path = tmp_path / "ends.csv"
+        path.write_text("p,a,b,q\n1,0.1,0.2,-1\n-1,0.3,0.4,1\n")
+        data = load_dataset(path, label_column=label_column)
+        assert data.features.flags.c_contiguous
+        if label_column is None:
+            np.testing.assert_array_equal(data.features, [[1, 0.1, 0.2], [-1, 0.3, 0.4]])
+            assert data.feature_names == ("p", "a", "b")
+        else:
+            np.testing.assert_array_equal(data.features, [[0.1, 0.2, -1], [0.3, 0.4, 1]])
+            assert data.feature_names == ("a", "b", "q")
+
     def test_feature_matrix_loader(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n0.5,0.25\n")

@@ -20,6 +20,7 @@ from minaxp import (
     score,
     unit_box,
 )
+from minaxp.model import score_from_products
 
 
 class TestScore:
@@ -40,17 +41,24 @@ class TestScore:
         with pytest.raises(ValueError, match="expects 2"):
             score(clf.model, Instance(np.array([0.5, 0.5, 0.5])))
 
-    @pytest.mark.parametrize("n", [8192, 8193, 3 * 8192 + 5])
-    def test_wide_scores_add_fixed_blocks(self, n):
-        # Blocks of 8192 features, summed in order: no dot is long enough
-        # for BLAS to split it over threads, so the rounding is fixed.
+    @pytest.mark.parametrize("n", [1, 30, 8192, 8193, 3 * 8192 + 5])
+    def test_scores_sum_each_rows_own_products(self, n):
+        # One definition: the pairwise sum of the row's own products w*x, so
+        # the bits follow the values and not the layout they were read in.
         rng = np.random.default_rng(n)
-        w, x = rng.normal(size=n), rng.random(n)
+        w = rng.normal(size=n)
+        rows = rng.random((3, n))
+        strided = np.asfortranarray(rows)
         model = LinearModel(w, 0.25, unit_box(n))
-        blocks = sum(w[i : i + 8192] @ x[i : i + 8192] for i in range(0, n, 8192))
-        got = score(model, Instance(x))
-        assert got == float(blocks + 0.25)
-        assert got == pytest.approx(math.fsum(w * x) + 0.25, rel=1e-12, abs=1e-12)
+        clf = RejectClassifier(model, -1.0, 1.0)
+        matrix = score_from_products(rows * w, 0.25)
+        for i in range(rows.shape[0]):
+            assert strided[i].flags.c_contiguous == (n == 1)
+            got = score(model, Instance(strided[i]))
+            assert got == score(model, Instance(rows[i]))
+            assert got == cover_problem(clf, Instance(strided[i])).score
+            assert got == matrix[i]
+            assert got == pytest.approx(math.fsum(w * rows[i]) + 0.25, rel=1e-12, abs=1e-12)
 
 
 class TestPredict:
