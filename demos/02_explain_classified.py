@@ -2,7 +2,7 @@
 
 Each feature's gain is how much pinning it lifts the worst-case lower score
 bound.  Sorting by gain and taking the shortest prefix that covers the
-required margin is provably optimal; the trace below shows the crossing.
+required margin is provably optimal; the walk below shows the crossing.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
-    explain_positive,
+    cover_problem,
+    greedy_explanation,
     predict,
     unit_box,
 )
@@ -24,13 +25,16 @@ x = Instance.validated(model, [1.0, 0.0, 1.0])
 pred = predict(clf, x)
 print(f"score(x) = {pred.score:+.2f} > t_plus = {clf.t_plus:+.2f}  ->  {pred.label.value}")
 
-explanation, trace = explain_positive(clf, x)
-print(f"\nrequired margin (t_plus - worst-case floor): {trace.required_margin:.2f}")
-print("features by gain (descending):")
+problem = cover_problem(clf, x)
+explanation = greedy_explanation(problem)
+print(f"\nrequired margin (t_plus - worst-case floor): {problem.need_down:.2f}")
+print("features by gain (descending, ties by index):")
 running = 0.0
-for rank, (j, gain) in enumerate(zip(trace.ordered_indices, trace.gains), start=1):
+order = np.argsort(-problem.gain_down, kind="stable")
+for rank, j in enumerate(order, start=1):
+    gain = problem.gain_down[j]
     running += gain
-    marker = "<- margin covered here" if rank == trace.prefix_length else ""
+    marker = "<- margin covered here" if rank == explanation.size else ""
     print(f"  #{rank}: feature {j} gain {gain:.2f}, prefix sum {running:.2f} {marker}")
 
 print(f"\nexplanation: pin features {list(explanation.indices)} "

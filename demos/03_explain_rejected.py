@@ -13,10 +13,10 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     cover_problem,
-    explain_rejection,
+    deletion_explanation,
+    lift_solution,
     predict,
     solve_rejection_ilp,
-    subset_minimal_explanation,
     unit_box,
 )
 
@@ -40,8 +40,8 @@ solution = solve_rejection_ilp(problem)
 print(f"\nsolver: selected {solution.selected.tolist()}, objective {solution.objective}, "
       f"optimal {solution.optimal}, nodes {solution.nodes_explored}")
 
-explanation = explain_rejection(clf, x)
-baseline = subset_minimal_explanation(clf, x)
+explanation = lift_solution(problem, solution)
+baseline = deletion_explanation(problem)
 print(f"exact explanation:    {list(explanation.indices)} (size {explanation.size})")
 print(f"baseline explanation: {list(baseline.indices)} (size {baseline.size})")
 print("\nthe baseline is irredundant (no single remaining feature can be")

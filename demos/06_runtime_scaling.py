@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from minaxp import Instance, LinearModel, RejectClassifier, explain_positive, unit_box
+from minaxp import Instance, LinearModel, RejectClassifier, cover_problem, greedy_explanation, unit_box
 
 
 def minor_faults() -> int:
@@ -31,12 +31,12 @@ for k in range(8):
     clf = RejectClassifier(model, s - 2.0, s - 1.0)
     instance = Instance(values)
 
-    explain_positive(clf, instance)  # warm-up
+    greedy_explanation(cover_problem(clf, instance))  # warm-up
     samples = []
     faults = minor_faults()
     for _ in range(9):
         start = time.perf_counter()
-        explanation, _ = explain_positive(clf, instance)
+        greedy_explanation(cover_problem(clf, instance))
         samples.append(time.perf_counter() - start)
     faults = (minor_faults() - faults) / len(samples)
     median = float(np.median(samples))

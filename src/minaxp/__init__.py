@@ -10,7 +10,7 @@ Chow-style threshold calibration, and file formats plus a CLI to tie a full
 pipeline together.
 """
 
-from .baseline import subset_minimal_explanation
+from .baseline import deletion_explanation
 from .calibration import (
     RiskConfig,
     RiskReport,
@@ -20,7 +20,7 @@ from .calibration import (
     evaluate_risk,
     train_logistic,
 )
-from .classified import GreedyTrace, explain_negative, explain_positive
+from .classified import greedy_explanation
 from .dataio import (
     Dataset,
     ExplanationRecord,
@@ -34,7 +34,7 @@ from .dataio import (
     save_model,
     write_explanation_report,
 )
-from .explain import boundary_tight, explain_instance
+from .explain import explain_instance
 from .model import (
     DEFAULT_EPSILON,
     CoverProblem,
@@ -49,7 +49,6 @@ from .model import (
     RejectClassifier,
     cover_problem,
     is_valid_explanation,
-    kind_for_label,
     predict,
     score,
     unit_box,
@@ -65,7 +64,7 @@ from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
     IlpSolution,
-    explain_rejection,
+    lift_solution,
     solve_rejection_ilp,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "Explanation",
     "ExplanationKind",
     "ExplanationRecord",
-    "GreedyTrace",
     "IlpSolution",
     "Instance",
     "Label",
@@ -97,18 +95,16 @@ __all__ = [
     "ScalingInfo",
     "TrainConfig",
     "aggregate_records",
-    "boundary_tight",
     "brute_force_minimum",
     "calibrate_thresholds",
     "candidate_grid",
     "cover_problem",
+    "deletion_explanation",
     "evaluate_risk",
     "explain_instance",
-    "explain_negative",
-    "explain_positive",
-    "explain_rejection",
+    "greedy_explanation",
     "is_valid_explanation",
-    "kind_for_label",
+    "lift_solution",
     "load_dataset",
     "load_model",
     "predict",
@@ -118,7 +114,6 @@ __all__ = [
     "save_model",
     "score",
     "solve_rejection_ilp",
-    "subset_minimal_explanation",
     "train_logistic",
     "unit_box",
     "validate_instance",

@@ -15,10 +15,7 @@ from .model import (
     DEFAULT_EPSILON,
     CoverProblem,
     Explanation,
-    Instance,
     Label,
-    RejectClassifier,
-    cover_problem,
 )
 
 
@@ -63,8 +60,3 @@ def deletion_explanation(problem: CoverProblem) -> Explanation:
             else:
                 kept.append(j)
     return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
-
-
-def subset_minimal_explanation(clf: RejectClassifier, instance: Instance) -> Explanation:
-    """Subset-minimal explanation for whatever the instance's prediction is."""
-    return deletion_explanation(cover_problem(clf, instance))

@@ -13,58 +13,38 @@ the first k of the order by gain descending, index ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .model import (
     DEFAULT_EPSILON,
     CoverProblem,
     Explanation,
-    ExplanationKind,
-    Instance,
     Label,
     LabelMismatchError,
-    RejectClassifier,
-    cover_problem,
 )
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
-    """Diagnostic record of one greedy run: the gains by feature index, the
-    margin they must cover and the number of leading features that cover it.
-    ``ordered_indices``, the selection order (gain descending, index ascending
-    on ties), and ``gains`` in that order are sorted out on first read.
-    """
-
-    feature_gains: np.ndarray
-    required_margin: float
-    prefix_length: int
-
-    @cached_property
-    def ordered_indices(self) -> np.ndarray:
-        return np.argsort(-self.feature_gains, kind="stable")
-
-    @cached_property
-    def gains(self) -> np.ndarray:
-        return self.feature_gains[self.ordered_indices]
-
-
-def _greedy_prefix(
-    gains: np.ndarray, work: tuple, required_margin: float, kind: ExplanationKind, eps: float
-) -> tuple[Explanation, GreedyTrace]:
-    if required_margin <= eps:
+def greedy_explanation(problem: CoverProblem) -> Explanation:
+    """Minimum-size explanation of a classified problem: the greedy over its
+    one constrained side, ``gain_down`` against ``need_down`` for POSITIVE
+    and ``gain_up`` against ``need_up`` for NEGATIVE.  A rejected problem
+    raises :class:`LabelMismatchError`; it takes ``solve_rejection_ilp``."""
+    if problem.label is Label.POSITIVE:
+        gains, need = problem.gain_down, problem.need_down
+    elif problem.label is Label.NEGATIVE:
+        gains, need = problem.gain_up, problem.need_up
+    else:
+        raise LabelMismatchError("instance is predicted REJECT; the greedy explains accepted ones")
+    if need <= DEFAULT_EPSILON:
         chosen = np.empty(0, dtype=np.intp)
     else:
         # The work rows share one block with the gains, so a call
         # allocates nothing of length n but the index set.
-        ascending, prefix_sums = work
+        ascending, prefix_sums = problem.work
         np.copyto(ascending, gains)
         ascending.sort()
         np.add.accumulate(ascending[::-1], out=prefix_sums)
-        k = int(np.searchsorted(prefix_sums, required_margin - eps, side="left")) + 1
+        k = int(np.searchsorted(prefix_sums, need - DEFAULT_EPSILON, side="left")) + 1
         if k > gains.size:
             raise LabelMismatchError(
                 "margin not coverable by any feature subset; instance cannot carry this label"
@@ -77,30 +57,4 @@ def _greedy_prefix(
             ties = chosen[gains[chosen] == kth]
             mask[ties[k - chosen.size :]] = False
             chosen = mask.nonzero()[0]
-    trace = GreedyTrace(gains, float(required_margin), chosen.size)
-    return Explanation(indices=chosen, kind=kind, certified_minimum=True), trace
-
-
-def greedy_explanation(problem: CoverProblem) -> tuple[Explanation, GreedyTrace]:
-    """Minimum-size explanation of a classified problem: the greedy over its
-    one constrained side, ``gain_down`` for POSITIVE and ``gain_up`` for NEGATIVE."""
-    if problem.label is Label.POSITIVE:
-        gains, need, kind = problem.gain_down, problem.need_down, ExplanationKind.POSITIVE
-    else:
-        gains, need, kind = problem.gain_up, problem.need_up, ExplanationKind.NEGATIVE
-    return _greedy_prefix(gains, problem.work, need, kind, DEFAULT_EPSILON)
-
-
-def explain_positive(clf: RejectClassifier, instance: Instance) -> tuple[Explanation, GreedyTrace]:
-    """Minimum-size explanation of a POSITIVE prediction.
-
-    The smallest gain-ordered prefix whose summed ``gain_down`` covers
-    ``need_down = t_plus - bottom``; the pinned set keeps the worst-case
-    lower score bound at or above ``t_plus``.
-    """
-    return greedy_explanation(cover_problem(clf, instance).expect(ExplanationKind.POSITIVE))
-
-
-def explain_negative(clf: RejectClassifier, instance: Instance) -> tuple[Explanation, GreedyTrace]:
-    """Minimum-size explanation of a NEGATIVE prediction (mirror of the positive case)."""
-    return greedy_explanation(cover_problem(clf, instance).expect(ExplanationKind.NEGATIVE))
+    return Explanation(indices=chosen, kind=problem.kind, certified_minimum=True)

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +167,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _instances_from_args(args, bundle):
-    """Yield (instance_id, values_after_scaling) rows from --data or --instance-json."""
+    """The first --limit (instance_id, values_after_scaling) rows of --data or --instance-json."""
     if (args.data is None) == (args.instance_json is None):
         raise ValueError("provide exactly one of --data or --instance-json")
     if args.instance_json is not None:
@@ -192,7 +191,7 @@ def _instances_from_args(args, bundle):
         values = np.asarray(payload, dtype=float)
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
-        return [(0, values)]
+        return [(0, values)][: args.limit]
     return _data_rows(args, bundle, args.limit)
 
 
@@ -206,26 +205,43 @@ def _check_limits(args) -> None:
         raise ValueError(f"--time-limit must be a number >= 0, got {args.time_limit}")
 
 
-def cmd_explain(args) -> int:
+def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]:
+    """Explain every selected row ``repeats`` times over; each record's
+    ``time_ms`` is the median of its repeats'.  Returns the records and the
+    number of out-of-domain rows skipped."""
     _check_limits(args)
     bundle = load_model(args.model)
     clf = bundle.classifier()
     records: list[ExplanationRecord] = []
     skipped = 0
     for instance_id, values in _instances_from_args(args, bundle):
+        instance = Instance(values)
         try:
-            records.extend(
+            runs = [
                 explain_instance(
                     clf,
-                    Instance(values),
+                    instance,
                     instance_id,
                     method=args.method,
                     node_limit=args.node_limit,
                     time_limit=args.time_limit,
                 )
-            )
+                for _ in range(repeats)
+            ]
         except DomainError:
             skipped += 1
+            continue
+        if repeats == 1:  # the records as they are, with no copy per record
+            records.extend(runs[0])
+        else:
+            for same in zip(*runs):
+                median = statistics.median(record.time_ms for record in same)
+                records.append(dataclasses.replace(same[0], time_ms=median))
+    return records, skipped
+
+
+def cmd_explain(args) -> int:
+    records, skipped = _explain_rows(args)
     write_explanation_report(records, args.out_report, skipped_out_of_domain=skipped)
     by_kind = {}
     for record in records:
@@ -298,31 +314,7 @@ def cmd_verify(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    _check_limits(args)
-    bundle = load_model(args.model)
-    clf = bundle.classifier()
-    records: list[ExplanationRecord] = []
-    skipped = 0
-    for instance_id, values in _data_rows(args, bundle, args.limit):
-        instance = Instance(values)
-        try:
-            for method in ("minabro", "baseline") if args.method == "both" else (args.method,):
-                times = []
-                for _ in range(args.repeats):
-                    start = time.perf_counter()
-                    (last,) = explain_instance(
-                        clf,
-                        instance,
-                        instance_id,
-                        method=method,
-                        node_limit=args.node_limit,
-                        time_limit=args.time_limit,
-                    )
-                    times.append((time.perf_counter() - start) * 1000.0)
-                records.append(dataclasses.replace(last, time_ms=statistics.median(times)))
-        except DomainError:
-            # Validation comes first, so no record of such a row was added.
-            skipped += 1
+    records, skipped = _explain_rows(args, args.repeats)
     note = None
     if args.repeats == 1:
         note = "single repeat: per-instance timing spread undefined, medians equal the one sample"
@@ -401,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p_bench.add_argument("--limit", type=int, default=None)
     p_bench.add_argument("--out-report", required=True)
-    p_bench.set_defaults(func=cmd_benchmark)
+    p_bench.set_defaults(func=cmd_benchmark, instance_json=None)
 
     return parser
 

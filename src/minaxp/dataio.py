@@ -134,18 +134,14 @@ def load_dataset(
     path,
     delimiter: str = ",",
     label_column: str | int | None = None,
-    scale: bool = False,
     scaling: ScalingInfo | None = None,
 ) -> Dataset:
     """Read a delimited text file with a header row into features and labels.
 
     ``label_column`` selects the label by header name or position (default:
-    last column).  ``scale=True`` fits min-max scaling on this data and
-    applies it; passing an existing ``scaling`` applies that transform
-    instead, for test splits.
+    last column).  A ``scaling`` (fitted with :meth:`ScalingInfo.fit`) is
+    applied to the features.
     """
-    if scale and scaling is not None:
-        raise ValueError("pass either scale=True or an existing scaling, not both")
     path = Path(path)
     header, matrix = _read_numeric_table(path, delimiter)
 
@@ -166,8 +162,6 @@ def load_dataset(
     features = np.delete(matrix, label_idx, axis=1)
     labels = _normalize_labels(matrix[:, label_idx], header[label_idx])
 
-    if scale:
-        scaling = ScalingInfo.fit(features)
     if scaling is not None:
         features = scaling.transform(features)
 
@@ -264,8 +258,13 @@ def load_model(path) -> ModelBundle:
             raise ModelFormatError(f"{path}: scaling must provide mins and maxs")
         mins = _model_array(raw["mins"], "scaling mins", path)
         maxs = _model_array(raw["maxs"], "scaling maxs", path)
-        if mins.size != weights.size or maxs.size != weights.size:
+        if mins.shape != weights.shape or maxs.shape != weights.shape:
             raise ModelFormatError(f"{path}: scaling length does not match weights")
+        if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+            raise ModelFormatError(f"{path}: scaling mins and maxs must be finite")
+        if (maxs < mins).any():
+            j = int(np.argmax(maxs < mins))
+            raise ModelFormatError(f"{path}: scaling max {maxs[j]} below min {mins[j]} at feature {j}")
         scaling = ScalingInfo(mins=mins, maxs=maxs)
     try:
         model = LinearModel(weights, bias, domains)

@@ -12,7 +12,7 @@ import time
 from .baseline import deletion_explanation
 from .classified import greedy_explanation
 from .dataio import ExplanationRecord
-from .model import Explanation, Instance, Label, RejectClassifier, cover_problem
+from .model import Instance, Label, RejectClassifier, cover_problem
 from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
@@ -21,16 +21,6 @@ from .rejected import (
 )
 
 METHODS = ("minabro", "baseline", "both")
-
-
-def boundary_tight(clf: RejectClassifier, instance: Instance, explanation: Explanation) -> bool:
-    """Whether a bound of this explanation sits within the tolerance of its threshold.
-
-    Such explanations are valid under the non-strict reading but would be
-    arguable under a strict one; reports flag them for inspection.  The
-    explanation's kind must be the one the instance's prediction calls for.
-    """
-    return cover_problem(clf, instance).expect(explanation.kind).tight(explanation.index_array)
 
 
 def explain_instance(
@@ -61,7 +51,7 @@ def explain_instance(
             explanation = lift_solution(problem, solution)
             nodes = solution.nodes_explored
         else:
-            explanation, _ = greedy_explanation(problem)
+            explanation = greedy_explanation(problem)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         records.append(ExplanationRecord(
             instance_id, problem.label.value, problem.score, explanation.kind.value,

@@ -69,11 +69,6 @@ _KIND_FOR_LABEL = {
 }
 
 
-def kind_for_label(label: Label) -> ExplanationKind:
-    """The explanation kind that certifies the given prediction label."""
-    return _KIND_FOR_LABEL[label]
-
-
 def _as_domain_array(domains) -> np.ndarray:
     """Normalize domains given as an (n, 2) array or a sequence of (lower, upper) pairs."""
     arr = np.asarray(domains if isinstance(domains, np.ndarray) else list(domains), dtype=float)

@@ -48,9 +48,6 @@ from .model import (
     CoverProblem,
     Explanation,
     ExplanationKind,
-    Instance,
-    RejectClassifier,
-    cover_problem,
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -329,19 +326,3 @@ def lift_solution(problem: CoverProblem, solution: IlpSolution) -> Explanation:
     if problem.holds(explanation.index_array):
         return explanation
     return Explanation(np.arange(problem.gain_up.size), ExplanationKind.REJECTION, False)
-
-
-def explain_rejection(
-    clf: RejectClassifier,
-    instance: Instance,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit: float = DEFAULT_TIME_LIMIT,
-) -> Explanation:
-    """Minimum-size explanation of a rejection.
-
-    ``certified_minimum`` mirrors the solver's optimality flag; on budget
-    exhaustion the returned set is still a valid explanation, just possibly
-    larger than necessary.
-    """
-    problem = cover_problem(clf, instance)
-    return lift_solution(problem, solve_rejection_ilp(problem, node_limit, time_limit))

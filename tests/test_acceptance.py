@@ -25,10 +25,10 @@ from minaxp import (
     calibrate_thresholds,
     candidate_grid,
     cover_problem,
+    deletion_explanation,
     evaluate_risk,
     explain_instance,
-    explain_negative,
-    explain_positive,
+    greedy_explanation,
     is_valid_explanation,
     load_model,
     predict,
@@ -36,7 +36,6 @@ from minaxp import (
     sampled_sufficiency_check,
     save_model,
     solve_rejection_ilp,
-    subset_minimal_explanation,
     train_logistic,
     unit_box,
 )
@@ -62,14 +61,13 @@ def test_criterion_1_greedy_matches_oracle_on_classified():
     start = time.perf_counter()
     matches = 0
     total = 0
-    for label, explain in (
-        (Label.POSITIVE, explain_positive),
-        (Label.NEGATIVE, explain_negative),
-    ):
+    for label in (Label.POSITIVE, Label.NEGATIVE):
         for _ in range(500):
             n = int(rng.integers(2, 13))
             clf, instance = random_case(rng, n, label)
-            explanation, _ = explain(clf, instance)
+            problem = cover_problem(clf, instance)
+            assert problem.label is label
+            explanation = greedy_explanation(problem)
             total += 1
             matches += int(explanation.size == brute_force_minimum(clf, instance).size)
     elapsed = time.perf_counter() - start
@@ -103,15 +101,14 @@ def _explanation_population(rng, cases):
         n = int(rng.integers(2, 13))
         label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
         clf, instance = random_case(rng, n, label)
-        if label is Label.POSITIVE:
-            exact, _ = explain_positive(clf, instance)
-        elif label is Label.NEGATIVE:
-            exact, _ = explain_negative(clf, instance)
-        else:
-            solution = solve_rejection_ilp(cover_problem(clf, instance))
+        problem = cover_problem(clf, instance)
+        if label is Label.REJECT:
+            solution = solve_rejection_ilp(problem)
             exact = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
+        else:
+            exact = greedy_explanation(problem)
         population.append((clf, instance, exact))
-        population.append((clf, instance, subset_minimal_explanation(clf, instance)))
+        population.append((clf, instance, deletion_explanation(problem)))
     return population
 
 
@@ -201,7 +198,7 @@ def test_criterion_4_baseline_never_smaller(pipeline_runs):
         n = int(rng.integers(2, 13))
         label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
         clf, instance = random_case(rng, n, label)
-        baseline = subset_minimal_explanation(clf, instance)
+        baseline = deletion_explanation(cover_problem(clf, instance))
         assert baseline.size >= brute_force_minimum(clf, instance).size
         checked += 1
     print(f"ACCEPTANCE 4 domination: PASS ({checked} instances, baseline >= exact everywhere)")
@@ -233,7 +230,7 @@ def test_criterion_6_greedy_scales_log_linearly():
         clf = RejectClassifier(model, base_score - 2.0, base_score - 1.0)
         instance = Instance(values)
         assert predict(clf, instance).label is Label.POSITIVE
-        explain_positive(clf, instance)  # warm-up
+        greedy_explanation(cover_problem(clf, instance))  # warm-up
         problems.append((clf, instance))
     # Interleaved passes damp transient load; keep the best per-size median.
     medians = [float("inf")] * len(sizes)
@@ -242,7 +239,7 @@ def test_criterion_6_greedy_scales_log_linearly():
             samples = []
             for _ in range(7):
                 start = time.perf_counter()
-                explain_positive(clf, instance)
+                greedy_explanation(cover_problem(clf, instance))
                 samples.append(time.perf_counter() - start)
             medians[idx] = min(medians[idx], float(np.median(samples)))
     ratios = [b / a for a, b in zip(medians, medians[1:])]

@@ -9,22 +9,25 @@ from minaxp import (
     RejectClassifier,
     brute_force_minimum,
     cover_problem,
-    explain_negative,
-    explain_positive,
-    explain_rejection,
+    deletion_explanation,
+    greedy_explanation,
     is_valid_explanation,
-    kind_for_label,
+    lift_solution,
     predict,
     random_case,
-    subset_minimal_explanation,
+    solve_rejection_ilp,
     unit_box,
 )
+
+
+def _baseline(clf, instance):
+    return deletion_explanation(cover_problem(clf, instance))
 
 
 def test_band_case_drops_first_feature(band_case):
     # ascending deletion removes feature 0, then cannot remove feature 1
     clf, instance = band_case
-    explanation = subset_minimal_explanation(clf, instance)
+    explanation = _baseline(clf, instance)
     assert explanation.indices == (1,)
     assert explanation.kind is ExplanationKind.REJECTION
     assert not explanation.certified_minimum
@@ -34,12 +37,12 @@ def test_empty_set_valid_deletes_everything():
     model = LinearModel(np.zeros(3), 0.0, unit_box(3))
     clf = RejectClassifier(model, -1.0, 1.0)
     instance = Instance.validated(model, [0.2, 0.5, 0.8])
-    assert subset_minimal_explanation(clf, instance).indices == ()
+    assert _baseline(clf, instance).indices == ()
 
     strong_bias = LinearModel(np.array([1.0, 1.0]), 5.0, unit_box(2))
     clf2 = RejectClassifier(strong_bias, -1.0, 1.0)
     inst2 = Instance.validated(strong_bias, [0.1, 0.9])
-    assert subset_minimal_explanation(clf2, inst2).indices == ()
+    assert _baseline(clf2, inst2).indices == ()
 
 
 def test_subset_minimality_and_validity():
@@ -48,7 +51,7 @@ def test_subset_minimality_and_validity():
         n = int(rng.integers(2, 12))
         label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
         clf, instance = random_case(rng, n, label)
-        explanation = subset_minimal_explanation(clf, instance)
+        explanation = _baseline(clf, instance)
         assert is_valid_explanation(clf, instance, explanation.indices, explanation.kind)
         for j in explanation.indices:
             reduced = [k for k in explanation.indices if k != j]
@@ -61,26 +64,29 @@ def test_never_smaller_than_certified_minimum():
         n = int(rng.integers(2, 12))
         label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
         clf, instance = random_case(rng, n, label)
-        baseline = subset_minimal_explanation(clf, instance)
-        if label is Label.POSITIVE:
-            exact, _ = explain_positive(clf, instance)
-        elif label is Label.NEGATIVE:
-            exact, _ = explain_negative(clf, instance)
+        problem = cover_problem(clf, instance)
+        baseline = deletion_explanation(problem)
+        if label is Label.REJECT:
+            exact = lift_solution(problem, solve_rejection_ilp(problem))
         else:
-            exact = explain_rejection(clf, instance)
+            exact = greedy_explanation(problem)
         assert baseline.size >= exact.size
         assert exact.size == brute_force_minimum(clf, instance).size
 
 
 def test_deterministic(band_case):
     clf, instance = band_case
-    assert subset_minimal_explanation(clf, instance) == subset_minimal_explanation(clf, instance)
+    assert _baseline(clf, instance) == _baseline(clf, instance)
 
 
 def _reference_deletion(clf, instance, eps=DEFAULT_EPSILON):
     """The deletion walk one numpy scalar at a time, with the kind tested per index."""
     pred = predict(clf, instance)
-    kind = kind_for_label(pred.label)
+    kind = {
+        Label.POSITIVE: ExplanationKind.POSITIVE,
+        Label.NEGATIVE: ExplanationKind.NEGATIVE,
+        Label.REJECT: ExplanationKind.REJECTION,
+    }[pred.label]
     problem = cover_problem(clf, instance)
     smax = smin = pred.score
     kept = []
@@ -120,5 +126,5 @@ def test_matches_the_per_index_reference_walk():
             }[label]
             clf = RejectClassifier(model, t_minus, t_plus)
         assert predict(clf, instance).label is label
-        explanation = subset_minimal_explanation(clf, instance)
+        explanation = _baseline(clf, instance)
         assert explanation.indices == _reference_deletion(clf, instance)

@@ -3,6 +3,7 @@ import pytest
 
 from minaxp import (
     DEFAULT_EPSILON,
+    CoverProblem,
     ExplanationKind,
     Instance,
     Label,
@@ -12,25 +13,41 @@ from minaxp import (
     brute_force_minimum,
     cover_problem,
     explain_instance,
-    explain_negative,
-    explain_positive,
+    greedy_explanation,
     is_valid_explanation,
     random_case,
     unit_box,
 )
-from minaxp.classified import _greedy_prefix
+
+
+def _greedy(clf, instance):
+    """The greedy's explanation of an accepted instance, with its problem."""
+    problem = cover_problem(clf, instance)
+    return greedy_explanation(problem), problem
+
+
+def _side(problem):
+    """The gains and need of the one side an accepted problem constrains."""
+    if problem.label is Label.POSITIVE:
+        return problem.gain_down, problem.need_down
+    return problem.gain_up, problem.need_up
+
+
+def _ordered(gains):
+    """The selection order: gain descending, index ascending on ties."""
+    return np.argsort(-gains, kind="stable")
 
 
 class TestExplainPositive:
     def test_three_feature_example(self, pos3_case):
         clf, instance = pos3_case
-        explanation, trace = explain_positive(clf, instance)
+        explanation, problem = _greedy(clf, instance)
         assert explanation.indices == (0,)
         assert explanation.kind is ExplanationKind.POSITIVE
         assert explanation.certified_minimum
-        assert trace.prefix_length == 1
-        assert trace.required_margin == 3.0  # need_down = t_plus - bottom = 1 - (-2)
-        np.testing.assert_array_equal(trace.gains, [3.0, 2.0, 1.0])
+        assert explanation.size == 1
+        assert problem.need_down == 3.0  # need_down = t_plus - bottom = 1 - (-2)
+        np.testing.assert_array_equal(problem.gain_down[_ordered(problem.gain_down)], [3.0, 2.0, 1.0])
         # brute force over all 8 subsets agrees on the size
         assert brute_force_minimum(clf, instance).size == 1
 
@@ -38,50 +55,51 @@ class TestExplainPositive:
         model = LinearModel(np.array([1.0, 1.0]), 5.0, unit_box(2))
         clf = RejectClassifier(model, -1.0, 1.0)
         instance = Instance.validated(model, [0.2, 0.9])
-        explanation, trace = explain_positive(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert explanation.indices == ()
-        assert trace.prefix_length == 0
+        assert explanation.size == 0
 
     def test_tied_gains_need_both(self):
         model = LinearModel(np.array([1.0, 1.0]), 0.0, unit_box(2))
         clf = RejectClassifier(model, -1.0, 1.5)
         instance = Instance.validated(model, [1.0, 1.0])
-        explanation, trace = explain_positive(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert explanation.indices == (0, 1)
-        assert trace.prefix_length == 2
+        assert explanation.size == 2
 
     def test_wrong_label_raises(self, band_case):
         clf, instance = band_case
         with pytest.raises(LabelMismatchError):
-            explain_positive(clf, instance)
+            greedy_explanation(cover_problem(clf, instance))
 
 
 class TestExplainNegative:
     def test_mirrored_example(self, neg3_case):
         clf, instance = neg3_case
-        explanation, trace = explain_negative(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert explanation.indices == (0,)
-        assert trace.prefix_length == 1
+        assert explanation.kind is ExplanationKind.NEGATIVE
+        assert explanation.size == 1
         assert brute_force_minimum(clf, instance).size == 1
 
     def test_margin_already_covered_gives_empty(self):
         model = LinearModel(np.array([1.0, 1.0]), -5.0, unit_box(2))
         clf = RejectClassifier(model, -1.0, 1.0)
         instance = Instance.validated(model, [0.4, 0.1])
-        explanation, _ = explain_negative(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert explanation.indices == ()
 
     def test_tied_gains_need_both(self):
         model = LinearModel(np.array([-1.0, -1.0]), 0.0, unit_box(2))
         clf = RejectClassifier(model, -1.5, 1.0)
         instance = Instance.validated(model, [1.0, 1.0])
-        explanation, _ = explain_negative(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert explanation.indices == (0, 1)
 
     def test_wrong_label_raises(self, pos3_case):
         clf, instance = pos3_case
         with pytest.raises(LabelMismatchError):
-            explain_negative(clf, instance)
+            cover_problem(clf, instance).expect(ExplanationKind.NEGATIVE)
 
 
 def test_tie_break_prefers_lower_index():
@@ -89,9 +107,9 @@ def test_tie_break_prefers_lower_index():
     model = LinearModel(np.array([1.0, 1.0, 1.0]), 0.0, unit_box(3))
     clf = RejectClassifier(model, -1.0, 1.5)
     instance = Instance.validated(model, [1.0, 1.0, 1.0])
-    explanation, trace = explain_positive(clf, instance)
+    explanation, problem = _greedy(clf, instance)
     assert explanation.indices == (0, 1)
-    np.testing.assert_array_equal(trace.ordered_indices, [0, 1, 2])
+    np.testing.assert_array_equal(_ordered(problem.gain_down), [0, 1, 2])
 
 
 def test_trace_prefix_sum_brackets_margin():
@@ -99,15 +117,16 @@ def test_trace_prefix_sum_brackets_margin():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         clf, instance = random_case(rng, n, Label.POSITIVE)
-        _, trace = explain_positive(clf, instance)
-        assert np.all(np.diff(trace.gains) <= 1e-12)  # non-increasing
-        k = trace.prefix_length
+        explanation, problem = _greedy(clf, instance)
+        gains = problem.gain_down[_ordered(problem.gain_down)]
+        assert np.all(np.diff(gains) <= 1e-12)  # non-increasing
+        k = explanation.size
         eps = 1e-9
         if k > 0:
-            assert trace.gains[:k].sum() >= trace.required_margin - eps
-            assert trace.gains[: k - 1].sum() < trace.required_margin - eps
+            assert gains[:k].sum() >= problem.need_down - eps
+            assert gains[: k - 1].sum() < problem.need_down - eps
         else:
-            assert trace.required_margin <= eps
+            assert problem.need_down <= eps
 
 
 def test_removing_last_selected_breaks_validity():
@@ -117,12 +136,11 @@ def test_removing_last_selected_breaks_validity():
         n = int(rng.integers(2, 11))
         label = Label.POSITIVE if checked % 2 == 0 else Label.NEGATIVE
         clf, instance = random_case(rng, n, label)
-        explain = explain_positive if label is Label.POSITIVE else explain_negative
-        explanation, trace = explain(clf, instance)
-        if trace.prefix_length == 0:
+        explanation, problem = _greedy(clf, instance)
+        if explanation.size == 0:
             continue
         checked += 1
-        last = int(trace.ordered_indices[trace.prefix_length - 1])
+        last = int(_ordered(_side(problem)[0])[explanation.size - 1])
         reduced = [j for j in explanation.indices if j != last]
         assert not is_valid_explanation(clf, instance, reduced, explanation.kind)
     assert checked > 20
@@ -134,16 +152,15 @@ def test_greedy_matches_brute_force_sizes():
         n = int(rng.integers(2, 13))
         label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
         clf, instance = random_case(rng, n, label)
-        explain = explain_positive if label is Label.POSITIVE else explain_negative
-        explanation, _ = explain(clf, instance)
+        explanation, _ = _greedy(clf, instance)
         assert is_valid_explanation(clf, instance, explanation.indices, explanation.kind)
         assert explanation.size == brute_force_minimum(clf, instance).size
 
 
 def test_deterministic_output(pos3_case):
     clf, instance = pos3_case
-    first, _ = explain_positive(clf, instance)
-    second, _ = explain_positive(clf, instance)
+    first, _ = _greedy(clf, instance)
+    second, _ = _greedy(clf, instance)
     assert first == second
 
 
@@ -157,6 +174,15 @@ def _reference_prefix(gains, required_margin, eps=DEFAULT_EPSILON):
     if pos >= gains.size:
         return order, None
     return order, tuple(np.sort(order[: pos + 1]).tolist())
+
+
+def _problem_on(gains, need, kind, work):
+    """An accepted problem of ``kind`` whose constrained side has these
+    gains and this need; stale ``work`` rows must not matter."""
+    other = np.zeros_like(gains)
+    if kind is ExplanationKind.POSITIVE:
+        return CoverProblem(Label.POSITIVE, kind, 0.0, other, gains, 0.0, 0.0, np.inf, need, work)
+    return CoverProblem(Label.NEGATIVE, kind, 0.0, gains, other, need, 0.0, 0.0, -np.inf, work)
 
 
 def test_value_sort_matches_stable_index_sort_reference():
@@ -179,19 +205,19 @@ def test_value_sort_matches_stable_index_sort_reference():
         else:
             need = float(rng.uniform(0.0, total))
         kind = ExplanationKind.POSITIVE if case % 3 else ExplanationKind.NEGATIVE
-        work = rng.normal(size=(2, n))  # stale contents must not matter
+        problem = _problem_on(gains, need, kind, work=rng.normal(size=(2, n)))
         order, want = _reference_prefix(gains, need)
         if want is None:
             uncoverable += 1
             with pytest.raises(LabelMismatchError):
-                _greedy_prefix(gains, work, need, kind, DEFAULT_EPSILON)
+                greedy_explanation(problem)
             continue
-        explanation, trace = _greedy_prefix(gains, work, need, kind, DEFAULT_EPSILON)
+        explanation = greedy_explanation(problem)
         assert explanation.indices == want, case
         assert explanation.kind is kind and explanation.certified_minimum
-        assert trace.prefix_length == len(want)
-        np.testing.assert_array_equal(trace.ordered_indices, order)
-        np.testing.assert_array_equal(trace.gains, gains[order])
+        assert explanation.size == len(want)
+        np.testing.assert_array_equal(_ordered(_side(problem)[0]), order)
+        np.testing.assert_array_equal(_side(problem)[0][order], gains[order])
         if want and np.count_nonzero(gains == gains[order[len(want) - 1]]) > 1:
             ties += 1
     assert uncoverable > 100 and ties > 500

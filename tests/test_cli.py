@@ -189,6 +189,37 @@ class TestExplainInputs:
             == 0
         )
 
+    def test_limit_zero_applies_to_instance_json(self, pipeline_paths, tmp_path):
+        # --limit caps every row source: --data and --instance-json alike.
+        p = pipeline_paths
+        assert run_train(p) == 0
+        assert run_calibrate(p) == 0
+        report = tmp_path / "none.jsonl"
+        scaling = load_model(p["calibrated"]).scaling
+        mid = ((scaling.mins + scaling.maxs) / 2).tolist()
+        for source in (["--instance-json", json.dumps(mid)], ["--data", str(p["test"])]):
+            argv = ["explain", "--model", str(p["calibrated"]), *source, "--limit", "0"]
+            assert cli.main(argv + ["--out-report", str(report)]) == 0
+            assert read_explanation_report(report)[0] == [], source
+
+    def test_benchmark_records_equal_explain_records(self, pipeline_paths, tmp_path):
+        # Both commands run one row loop; benchmark only repeats each row and
+        # keeps the median time_ms.
+        p = pipeline_paths
+        assert run_train(p) == 0
+        assert run_calibrate(p) == 0
+        source = ["--model", str(p["calibrated"]), "--data", str(p["test"]), "--method", "both"]
+        explained, benchmarked = tmp_path / "explain.jsonl", tmp_path / "bench.jsonl"
+        assert cli.main(["explain", *source, "--out-report", str(explained)]) == 0
+        assert cli.main(["benchmark", *source, "--repeats", "3", "--out-report", str(benchmarked)]) == 0
+        masked = [
+            [dataclasses.replace(r, time_ms=0.0) for r in read_explanation_report(path)[0]]
+            for path in (explained, benchmarked)
+        ]
+        assert len(masked[0]) > 100
+        assert {r.label for r in masked[0]} == {"POSITIVE", "NEGATIVE", "REJECT"}
+        assert masked[0] == masked[1]
+
     def test_label_free_csv(self, pipeline_paths, tmp_path, capsys):
         # The commands that read no labels take --label-col none and give
         # what they give with the label column present.
@@ -526,8 +557,10 @@ class TestExitCodes:
              ' "domains": [[0, 1]], "scaling": null}', "bias must be a number"),
             ('{"weights": [1e308, 1e308], "bias": 0.0, "t_minus": -0.5, "t_plus": 0.5,'
              ' "domains": [[0, 1], [0, 1]], "scaling": null}', "worst-case score bounds overflow"),
+            (SCALED_BAND_MODEL.replace('"maxs": [10.0, 10.0]', '"maxs": [Infinity, 10.0]'),
+             "scaling mins and maxs must be finite"),
         ],
-        ids=["number", "list", "bias-str", "overflow"],
+        ids=["number", "list", "bias-str", "overflow", "scaling-inf"],
     )
     def test_bad_model_file_is_input_error(self, tmp_path, capsys, payload, message):
         model = tmp_path / "model.json"
@@ -569,16 +602,15 @@ class TestExitCodes:
         real = explain.greedy_explanation
 
         def padded(problem):
-            explanation, trace = real(problem)
+            explanation = real(problem)
             spare = [j for j in range(problem.gain_up.size) if j not in explanation.indices]
             if not spare:
-                return explanation, trace
-            bloated = Explanation(
+                return explanation
+            return Explanation(
                 indices=tuple(sorted(explanation.indices + (spare[0],))),
                 kind=explanation.kind,
                 certified_minimum=True,
             )
-            return bloated, trace
 
         monkeypatch.setattr(explain, "greedy_explanation", padded)
         assert cli.main(["verify", "--cases", "10", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED

@@ -19,8 +19,7 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     cover_problem,
-    explain_negative,
-    explain_positive,
+    greedy_explanation,
     predict,
     random_case,
     solve_rejection_ilp,
@@ -67,12 +66,11 @@ def test_greedy_matches_external_milp():
         label = Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE
         clf, instance = random_case(rng, n, label)
         problem = cover_problem(clf, instance)
+        explanation = greedy_explanation(problem)
         if label is Label.POSITIVE:
-            explanation, _ = explain_positive(clf, instance)
             gains = problem.gain_down
             required = clf.t_plus - problem.bottom
         else:
-            explanation, _ = explain_negative(clf, instance)
             gains = problem.gain_up
             required = problem.top - clf.t_minus
         external = _milp_min_count([gains], [required - EPS], [np.inf], n)

@@ -40,7 +40,7 @@ class TestDataset:
     def test_min_max_scaling(self, tmp_path):
         path = tmp_path / "span.csv"
         path.write_text("a,b,label\n5,0,1\n10,1,0\n15,0.5,1\n")
-        data = load_dataset(path, scale=True)
+        data = load_dataset(path, scaling=ScalingInfo.fit(load_dataset(path).features))
         np.testing.assert_allclose(data.features[:, 0], [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(data.labels, [1, -1, 1])  # 0/1 mapped to -1/+1
         np.testing.assert_allclose(data.scaling.mins, [5.0, 0.0])
@@ -49,7 +49,7 @@ class TestDataset:
     def test_scaling_reapplies_to_test_data(self, tmp_path):
         train = tmp_path / "train.csv"
         train.write_text("a,label\n5,1\n15,-1\n")
-        fitted = load_dataset(train, scale=True)
+        fitted = load_dataset(train, scaling=ScalingInfo.fit(load_dataset(train).features))
         test = tmp_path / "test.csv"
         test.write_text("a,label\n20,1\n")
         shifted = load_dataset(test, scaling=fitted.scaling)
@@ -62,7 +62,8 @@ class TestDataset:
         path = tmp_path / "const.csv"
         path.write_text("a,b,label\n3,1,1\n3,2,-1\n")
         with pytest.warns(RuntimeWarning, match="constant"):
-            data = load_dataset(path, scale=True)
+            scaling = ScalingInfo.fit(load_dataset(path).features)
+        data = load_dataset(path, scaling=scaling)
         np.testing.assert_array_equal(data.features[:, 0], [0.0, 0.0])
 
     def test_arbitrary_binary_labels_map_by_order(self, tmp_path):
@@ -259,9 +260,18 @@ class TestModelRoundTrip:
             (dict(_BAND_MODEL, weights=["2", "-2"]), "weights must hold numbers only"),
             (dict(_BAND_MODEL, domains=[[0.0, 1.0], [0.0]]), "domains is not a rectangular"),
             (dict(_BAND_MODEL, scaling=[0.0, 1.0]), "scaling must provide mins and maxs"),
+            (dict(_BAND_MODEL, scaling={"mins": [0.0, 0.0], "maxs": [float("inf"), 10.0]}),
+             "scaling mins and maxs must be finite"),
+            (dict(_BAND_MODEL, scaling={"mins": [0.0, float("nan")], "maxs": [10.0, 10.0]}),
+             "scaling mins and maxs must be finite"),
+            (dict(_BAND_MODEL, scaling={"mins": [0.0, 10.0], "maxs": [10.0, 0.0]}),
+             "scaling max 0.0 below min 10.0 at feature 1"),
+            (dict(_BAND_MODEL, scaling={"mins": [[0.0, 0.0]], "maxs": [[10.0, 10.0]]}),
+             "scaling length does not match weights"),
         ],
         ids=["number", "list", "bias-str", "t_minus-str", "t_plus-str", "bias-bool",
-             "weights-str", "domains-ragged", "scaling-list"],
+             "weights-str", "domains-ragged", "scaling-list", "scaling-inf", "scaling-nan",
+             "scaling-inverted", "scaling-nested"],
     )
     def test_malformed_model_file_rejected(self, tmp_path, payload, message):
         path = tmp_path / "model.json"

@@ -14,19 +14,17 @@ from minaxp import (
     LabelMismatchError,
     LinearModel,
     RejectClassifier,
-    boundary_tight,
     brute_force_minimum,
     cover_problem,
+    deletion_explanation,
     explain_instance,
-    explain_negative,
-    explain_positive,
+    greedy_explanation,
+    lift_solution,
     predict,
     random_case,
     solve_rejection_ilp,
-    subset_minimal_explanation,
     unit_box,
 )
-from minaxp.rejected import lift_solution
 
 
 def _reference_tight(clf, instance, explanation, eps):
@@ -40,8 +38,8 @@ def _reference_tight(clf, instance, explanation, eps):
 
 
 def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
-    """``explain_instance`` as a composition of the public per-explainer
-    functions, each of which starts again from ``(clf, instance)``."""
+    """``explain_instance`` as a composition of the public explainers, each
+    called on a problem built again from ``(clf, instance)``."""
     pred = predict(clf, instance)
 
     def record(explanation, name, nodes):
@@ -62,10 +60,8 @@ def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
     records = []
     if method in ("minabro", "both"):
         nodes = None
-        if pred.label is Label.POSITIVE:
-            explanation, _ = explain_positive(clf, instance)
-        elif pred.label is Label.NEGATIVE:
-            explanation, _ = explain_negative(clf, instance)
+        if pred.label is not Label.REJECT:
+            explanation = greedy_explanation(cover_problem(clf, instance))
         else:
             problem = cover_problem(clf, instance)
             solution = solve_rejection_ilp(problem)
@@ -73,7 +69,7 @@ def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
             nodes = solution.nodes_explored
         records.append(record(explanation, "minabro", nodes))
     if method in ("baseline", "both"):
-        records.append(record(subset_minimal_explanation(clf, instance), "baseline", None))
+        records.append(record(deletion_explanation(cover_problem(clf, instance)), "baseline", None))
     return records
 
 
@@ -131,6 +127,8 @@ def test_both_methods_validate_the_instance_once(monkeypatch, band_case):
 def test_boundary_tight_refuses_a_kind_the_label_does_not_call_for(band_case):
     clf, instance = band_case
     # Pinning feature 0 puts the largest reachable score exactly on t_plus.
-    assert boundary_tight(clf, instance, Explanation((0,), ExplanationKind.REJECTION, True))
+    problem = cover_problem(clf, instance)
+    pinned = Explanation((0,), ExplanationKind.REJECTION, True).index_array
+    assert problem.expect(ExplanationKind.REJECTION).tight(pinned)
     with pytest.raises(LabelMismatchError):
-        boundary_tight(clf, instance, Explanation((0,), ExplanationKind.POSITIVE, True))
+        problem.expect(ExplanationKind.POSITIVE).tight(pinned)

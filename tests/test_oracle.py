@@ -8,11 +8,12 @@ from minaxp import (
     LinearModel,
     RejectClassifier,
     brute_force_minimum,
+    cover_problem,
+    deletion_explanation,
     is_valid_explanation,
     predict,
     random_case,
     sampled_sufficiency_check,
-    subset_minimal_explanation,
     unit_box,
 )
 
@@ -92,7 +93,7 @@ class TestSampledSufficiency:
             n = int(rng.integers(2, 11))
             label = (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3]
             clf, instance = random_case(rng, n, label)
-            explanation = subset_minimal_explanation(clf, instance)
+            explanation = deletion_explanation(cover_problem(clf, instance))
             assert is_valid_explanation(clf, instance, explanation.indices, explanation.kind)
             assert sampled_sufficiency_check(
                 clf, instance, explanation.indices, explanation.kind, trials=500, seed=i

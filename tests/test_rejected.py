@@ -11,8 +11,8 @@ from minaxp import (
     RejectClassifier,
     brute_force_minimum,
     cover_problem,
-    explain_rejection,
     is_valid_explanation,
+    lift_solution,
     random_case,
     score,
     solve_rejection_ilp,
@@ -131,7 +131,8 @@ def test_budget_exhaustion_returns_valid_incumbent(bound_gap_case):
 
 def test_explain_rejection_wraps_solution(band_case):
     clf, instance = band_case
-    explanation = explain_rejection(clf, instance)
+    problem = cover_problem(clf, instance)
+    explanation = lift_solution(problem, solve_rejection_ilp(problem))
     assert explanation.kind is ExplanationKind.REJECTION
     assert explanation.size == 1
     assert explanation.certified_minimum
@@ -142,19 +143,21 @@ def test_single_feature_wide_band_needs_nothing():
     model = LinearModel(np.array([1.0]), 0.0, unit_box(1))
     clf = RejectClassifier(model, -1.0, 1.0)
     instance = Instance.validated(model, [0.5])
-    assert explain_rejection(clf, instance).indices == ()
+    problem = cover_problem(clf, instance)
+    assert lift_solution(problem, solve_rejection_ilp(problem)).indices == ()
 
 
 def test_budget_fallback_is_flagged_not_certified(bound_gap_case):
     clf, instance = bound_gap_case
-    explanation = explain_rejection(clf, instance, node_limit=0)
+    problem = cover_problem(clf, instance)
+    explanation = lift_solution(problem, solve_rejection_ilp(problem, node_limit=0))
     assert not explanation.certified_minimum
     assert is_valid_explanation(clf, instance, explanation.indices, ExplanationKind.REJECTION)
 
 
 def test_invalid_solution_repaired_to_full_set(band_case):
     # a doctored, infeasible "solution" must be replaced by the full set
-    from minaxp.rejected import IlpSolution, lift_solution
+    from minaxp.rejected import IlpSolution
 
     clf, instance = band_case
     doctored = IlpSolution(
