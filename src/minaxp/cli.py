@@ -231,12 +231,9 @@ def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]
         except DomainError:
             skipped += 1
             continue
-        if repeats == 1:  # the records as they are, with no copy per record
-            records.extend(runs[0])
-        else:
-            for same in zip(*runs):
-                median = statistics.median(record.time_ms for record in same)
-                records.append(dataclasses.replace(same[0], time_ms=median))
+        for same in zip(*runs):
+            median = statistics.median(record.time_ms for record in same)
+            records.append(dataclasses.replace(same[0], time_ms=median))
     return records, skipped
 
 
