@@ -53,10 +53,17 @@ _NO_LABEL = object()
 
 
 def _load(path, delimiter, label_col, scaling=None) -> Dataset:
+    """A labelled dataset for ``train`` and ``calibrate``, whose every feature cell is finite."""
     column = _parse_label_column(label_col)
     if column is _NO_LABEL:
         raise ValueError("this command requires a label column")
-    return load_dataset(path, delimiter=delimiter, label_column=column, scaling=scaling)
+    data = load_dataset(path, delimiter=delimiter, label_column=column, scaling=scaling)
+    bad = np.argwhere(~np.isfinite(data.features))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite feature value {data.features[row, col]} "
+                         f"at row {row + 2}, column {data.feature_names[col]!r}")
+    return data
 
 
 def _data_rows(args, bundle, limit) -> list:

@@ -14,16 +14,17 @@ The built-in solver is a best-first branch and bound over the complement:
 the sets of features that can be left free.  Freeing feature j spends
 ``gain_up[j]`` and ``gain_down[j]`` of the slacks ``sum(gain_up) - need_up``
 and ``sum(gain_down) - need_down``, and the search frees as many as it can.
-Its per-node upper bound is the smallest of three fitting counts over the
+Its per-node upper bound is the smallest of four fitting counts over the
 still-undecided features: the most of the cheapest costs that fit each
-slack separately and the same count for the two slacks' sum, which any
-feasible removal must also fit.  All three are admissible, so an incumbent
-matched by the best outstanding bound is provably optimal.  The counts come
-off prefix sums of the undecided tail, which each visited depth builds once
-for all three families (one sort, one cumulative sum) and keeps in an
-``array('d')`` at 8 bytes per value; a node looks its child depth up once
-and bisects it for both children, and the search itself runs on plain
-floats and lists.
+slack, the slacks' sum and the surrogate ``slack_up + lam * slack_down``
+with ``lam = slack_up / slack_down`` (Glover 1968; Martello and Toth 1990,
+ch. 3).  Any feasible removal fits all four, so an incumbent matched by the
+best outstanding bound is provably optimal.  The counts come off prefix
+sums of the undecided tail, built once per visited depth (one sort, one
+cumulative sum) into an ``array('d')`` that ``bisect`` reads; the search
+itself runs on plain floats and lists.  First-fit fills give the starting
+incumbent; on most narrow-band rows it meets the root bound, and the row
+is certified without branching.
 
 Feasibility of candidate solutions is always confirmed on sums taken in
 ascending feature order (numpy reductions), the same arithmetic the
@@ -66,55 +67,60 @@ class IlpSolution:
     optimal: bool
     nodes_explored: int
     solve_time: float
+    # Fewest pins the search has proved necessary: ``objective`` when
+    # ``optimal``, otherwise the active count minus the best outstanding bound.
+    lower_bound: int = 0
 
 
 class _TailSums:
     """Sorted prefix sums over the undecided tail of the branch order, per depth.
 
-    Three families: each constraint's costs alone and their sum (feasible
-    removals must fit all three).  A visited depth costs one sort and one
-    cumulative sum over all three, cheapest first.  The sums go into one
-    ``array('d')``, 8 bytes per value, and ``bisect`` reads each family
-    through a memoryview.  Beyond _SUFFIX_EXACT_LIMIT variables every depth
-    uses the whole order's sums.
+    Four families: each constraint's costs alone, their sum and the
+    surrogate ``up + lam * down`` (feasible removals must fit all four).  A
+    visited depth costs one sort and one cumulative sum over all four,
+    cheapest first.  The sums go into one ``array('d')``, 8 bytes per value,
+    and ``bisect`` reads each family through a memoryview.  Beyond
+    _SUFFIX_EXACT_LIMIT variables every depth uses the whole order's sums.
     """
 
-    def __init__(self, up: np.ndarray, down: np.ndarray):
-        self.values = np.vstack((up, down, up + down))
+    def __init__(self, up: np.ndarray, down: np.ndarray, lam: float):
+        self.values = np.vstack((up, down, up + down, up + lam * down))
         self.exact = up.size <= _SUFFIX_EXACT_LIMIT
-        self.cache: dict[int, tuple[memoryview, memoryview, memoryview]] = {}
+        self.cache: dict[int, tuple[memoryview, ...]] = {}
 
-    def at(self, depth: int) -> tuple[memoryview, memoryview, memoryview]:
+    def at(self, depth: int) -> tuple[memoryview, ...]:
         if not self.exact:
             depth = 0
         tail = self.cache.get(depth)
         if tail is None:
-            width = self.values.shape[1] - depth
+            families, width = self.values.shape[0], self.values.shape[1] - depth
             ordered = np.sort(self.values[:, depth:], axis=1)
-            flat = array("d", [0.0]) * (3 * width)  # allocated exactly, unlike frombytes
-            sums = np.frombuffer(flat).reshape(3, width)
+            flat = array("d", [0.0]) * (families * width)  # allocated exactly, unlike frombytes
+            sums = np.frombuffer(flat).reshape(families, width)
             np.add.accumulate(ordered, axis=1, out=sums)
             view = memoryview(flat)
-            tail = self.cache[depth] = (view[:width], view[width : 2 * width], view[2 * width :])
+            tail = self.cache[depth] = tuple(
+                view[f * width : (f + 1) * width] for f in range(families)
+            )
         return tail
 
 
-def _pack_bound(tail, budget_up: float, budget_down: float, eps: float) -> int:
-    """Most further removals: the smallest of the three fitting counts is admissible."""
-    up, down, both = tail
-    best = bisect_right(up, budget_up + eps)
+def _pack_bound(tail, budget_up: float, budget_down: float, lam: float, eps: float) -> int:
+    """Most further removals: the smallest of the four fitting counts is admissible.
+
+    A removal within ``eps`` of both budgets is within ``eps * (a + b)`` of
+    ``a * budget_up + b * budget_down``, so each weighted family gets that slack.
+    """
+    up, down, both, surrogate = tail
+    best = bisect_right(surrogate, budget_up + lam * budget_down + (1.0 + lam) * eps)
+    k = bisect_right(up, budget_up + eps)
+    if k < best:
+        best = k
     k = bisect_right(down, budget_down + eps)
     if k < best:
         best = k
-    k = bisect_right(both, budget_up + budget_down + eps)
+    k = bisect_right(both, budget_up + budget_down + 2.0 * eps)
     return k if k < best else best
-
-
-def _mask(size: int, positions, value: bool) -> np.ndarray:
-    """A boolean array that is ``value`` at ``positions`` and the opposite elsewhere."""
-    mask = np.full(size, not value)
-    mask[positions] = value
-    return mask
 
 
 def _positions(link) -> list[int]:
@@ -144,79 +150,69 @@ class _Feasibility:
         self.need_down = need_down
         self.eps = eps
 
-    def check(self, positions) -> bool:
-        """``positions``: a list of branch positions or a boolean mask over them."""
-        idx = np.sort(self.order[positions])
+    def pinned(self, removed) -> np.ndarray:
+        """The sorted feature indices at every branch position but ``removed``."""
+        keep = np.ones(self.order.size, dtype=bool)
+        keep[removed] = False
+        return np.sort(self.order[keep])
+
+    def check(self, removed) -> bool:
+        idx = self.pinned(removed)
         return bool(
             self.gain_up[idx].sum() >= self.need_up - self.eps
             and self.gain_down[idx].sum() >= self.need_down - self.eps
         )
 
 
-def _greedy_incumbent(
-    g_up: np.ndarray,
-    g_down: np.ndarray,
-    need_up: float,
-    need_down: float,
-    feasible: _Feasibility,
-    eps: float,
-) -> list[int]:
-    """Deterministic feasible starting point: walk the branch order, keeping
-    every feature that still helps an uncovered constraint, then drop
-    redundant picks again.  The result is confirmed on canonical sums; if
-    rounding ever disagrees, fall back to the always-feasible full set."""
-    up, down = g_up.tolist(), g_down.tolist()
-    chosen = []
+def _first_fit(positions, up, down, cap_up, cap_down, feasible) -> list[int]:
+    """Free each of ``positions`` in turn whose costs still fit both caps.
+
+    The result is confirmed on canonical sums; if rounding ever disagrees,
+    nothing is freed, so every feature stays pinned."""
+    freed = []
     su = sd = 0.0
-    for j in range(len(up)):
-        up_open = su < need_up - eps
-        down_open = sd < need_down - eps
-        if not (up_open or down_open):
-            break
-        if (up_open and up[j] > 0.0) or (down_open and down[j] > 0.0):
-            chosen.append(j)
-            su += up[j]
-            sd += down[j]
-    if not feasible.check(chosen):
-        chosen = list(range(len(up)))
-    su = float(g_up[chosen].sum())
-    sd = float(g_down[chosen].sum())
-    trimmed = []
-    for j in chosen:
-        if su - up[j] >= need_up - eps and sd - down[j] >= need_down - eps:
-            su -= up[j]
-            sd -= down[j]
-        else:
-            trimmed.append(j)
-    if not feasible.check(trimmed):
-        trimmed = chosen
-    return trimmed
+    for p in positions:
+        u = su + up[p]
+        d = sd + down[p]
+        if u <= cap_up and d <= cap_down:
+            freed.append(p)
+            su = u
+            sd = d
+    return freed if feasible.check(freed) else []
 
 
 def _search_pack(
-    order, c_up, c_down, budget_up, budget_down, removable, feasible,
-    start, node_limit, time_limit, eps,
-):
+    c_up, c_down, budget_up, budget_down, feasible, start, node_limit, time_limit, eps,
+) -> IlpSolution:
     """Best-first search over removed-feature sets.
 
     Removing feature j spends (c_up[j], c_down[j]) of the slack budgets, and
-    the goal is to remove as many as possible.  ``removable`` seeds the
-    incumbent.  The search stops uncertified once it has expanded
-    ``node_limit`` nodes or ``time_limit`` seconds have passed since
-    ``start``.  Heap entries: (negated upper bound, insertion sequence,
-    count, depth, spent_up, spent_down, removed), where ``removed`` is the
-    last removed position linked to its parent's chain, ``(position,
-    removed)``, or None.  Insertion order breaks bound ties, with
-    remove-children pushed first.
+    the goal is to remove as many as possible.  The search stops uncertified
+    once it has expanded ``node_limit`` nodes or ``time_limit`` seconds have
+    passed since ``start``.  Heap entries: (negated upper bound, insertion
+    sequence, count, depth, spent_up, spent_down, removed), where
+    ``removed`` is the last removed position linked to its parent's chain,
+    ``(position, removed)``, or None.  Insertion order breaks bound ties,
+    with remove-children pushed first.
     """
-    sums = _TailSums(c_up, c_down)
+    # With a slack that is not positive, lam = 1 copies the sum family.
+    lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
+    sums = _TailSums(c_up, c_down, lam)
     up, down = c_up.tolist(), c_down.tolist()
     m = len(up)
-    best_removed = removable
-    best_count = len(removable)
+    cap_up, cap_down = budget_up + eps, budget_down + eps
+    root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
+    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, feasible)
+    if len(best_removed) < root_ub:
+        # A fill in the surrogate order, ties by ascending index, so that at
+        # lam = 1 it does not repeat the first (ties by descending index).
+        surrogate_order = np.lexsort((feasible.order, sums.values[3])).tolist()
+        second = _first_fit(surrogate_order, up, down, cap_up, cap_down, feasible)
+        if len(second) > len(best_removed):
+            best_removed = second
+    best_count = len(best_removed)
     seq = 0
     heap = []
-    root_ub = _pack_bound(sums.at(0), budget_up, budget_down, eps)
     if root_ub > best_count:
         heap.append((-root_ub, seq, 0, 0, 0.0, 0.0, None))
     nodes = 0
@@ -236,27 +232,32 @@ def _search_pack(
         # Remove order[j].
         c_ru = ru + up[j]
         c_rd = rd + down[j]
-        if c_ru <= budget_up + eps and c_rd <= budget_down + eps:
+        if c_ru <= cap_up and c_rd <= cap_down:
             c_removed = (j, removed)
             c_count = count + 1
             if c_count > best_count:
                 positions = _positions(c_removed)
-                if feasible.check(_mask(m, positions, False)):
+                if feasible.check(positions):
                     best_count = c_count
                     best_removed = positions
             if tail is not None:
-                cub = c_count + _pack_bound(tail, budget_up - c_ru, budget_down - c_rd, eps)
+                cub = c_count + _pack_bound(tail, budget_up - c_ru, budget_down - c_rd, lam, eps)
                 if cub > best_count:
                     seq += 1
                     heappush(heap, (-cub, seq, c_count, depth, c_ru, c_rd, c_removed))
         # Keep order[j] pinned.
         if tail is not None:
-            xub = count + _pack_bound(tail, budget_up - ru, budget_down - rd, eps)
+            xub = count + _pack_bound(tail, budget_up - ru, budget_down - rd, lam, eps)
             if xub > best_count:
                 seq += 1
                 heappush(heap, (-xub, seq, count, depth, ru, rd, removed))
 
-    return np.sort(order[_mask(m, best_removed, False)]), m - best_count, nodes, optimal
+    objective = m - best_count
+    return IlpSolution(
+        feasible.pinned(best_removed), objective, optimal, nodes,
+        time.perf_counter() - start,
+        objective if optimal else m + neg_ub,  # -neg_ub: the best outstanding bound
+    )
 
 
 def solve_rejection_ilp(
@@ -270,13 +271,13 @@ def solve_rejection_ilp(
     Returns a provably minimum-cardinality feasible selection with
     ``optimal=True`` on normal termination.  If the node or wall-clock budget
     runs out first, the best incumbent found so far is returned with
-    ``optimal=False``; an incumbent always exists because the full feature
-    set is feasible.
+    ``optimal=False`` and ``lower_bound`` below ``objective``; an incumbent
+    always exists because the full feature set is feasible.
 
-    A starting incumbent comes from a greedy walk plus trim over the
-    features that help both constraints first; the search then runs over
-    the complement, the sets of features that can be left free, starting
-    from the features that incumbent leaves free.
+    The search branches on the features to leave free, cheapest
+    ``gain_up + gain_down`` first, ties by descending index, so that among
+    equal costs the lower index stays pinned.  Its starting incumbent frees
+    each feature of that order that still fits both slacks (first fit).
     """
     start = time.perf_counter()
     eps = DEFAULT_EPSILON
@@ -294,25 +295,12 @@ def solve_rejection_ilp(
     if total_up < need_up - eps or total_down < need_down - eps:
         raise ValueError("program is infeasible; the instance is not genuinely rejected")
 
-    # Incumbent order: features that help both constraints first, ties by index.
-    pair_min = np.minimum(gain_up[active], gain_down[active])
-    cover_order = active[np.lexsort((active, -pair_min))]
-    cover_feasible = _Feasibility(cover_order, gain_up, gain_down, need_up, need_down, eps)
-    cover_up, cover_down = gain_up[cover_order], gain_down[cover_order]
-    incumbent = _greedy_incumbent(cover_up, cover_down, need_up, need_down, cover_feasible, eps)
-
-    # Branch order: cheapest-to-free features first, ties by index.
-    pack_order = active[np.lexsort((active, gain_up[active] + gain_down[active]))]
-    pack_feasible = _Feasibility(pack_order, gain_up, gain_down, need_up, need_down, eps)
-    pinned = _mask(gain_up.size, cover_order[incumbent], True)
-    removable = np.flatnonzero(~pinned[pack_order]).tolist()
-    selected, objective, nodes, optimal = _search_pack(
-        pack_order, gain_up[pack_order], gain_down[pack_order],
-        total_up - need_up, total_down - need_down,
-        removable, pack_feasible, start, node_limit, time_limit, eps,
+    order = active[np.lexsort((-active, gain_up[active] + gain_down[active]))]
+    return _search_pack(
+        gain_up[order], gain_down[order], total_up - need_up, total_down - need_down,
+        _Feasibility(order, gain_up, gain_down, need_up, need_down, eps),
+        start, node_limit, time_limit, eps,
     )
-
-    return IlpSolution(selected, objective, optimal, nodes, time.perf_counter() - start)
 
 
 def lift_solution(problem: CoverProblem, solution: IlpSolution) -> Explanation:

@@ -573,6 +573,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {model}: {message}")
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.filterwarnings("error")  # refused before any training starts
+    @pytest.mark.parametrize("scale", ["--scale", "--no-scale"])
+    def test_non_finite_training_cell_is_input_error(self, pipeline_paths, capsys, scale):
+        p = pipeline_paths
+        X, y = make_overlap_dataset(seed=2024, n_rows=40, n_features=3)
+        X[3, 1] = np.nan
+        write_csv(p["data"], X, y)
+        code = cli.main(["train", "--data", str(p["data"]), scale, "--out-model", str(p["model"])])
+        assert code == cli.EXIT_INPUT_ERROR
+        message = f"error: {p['data']}: non-finite feature value nan at row 5, column 'f1'\n"
+        assert capsys.readouterr().err == message
+        assert not p["model"].exists()
+
+    def test_non_finite_calibration_cell_is_input_error(self, pipeline_paths, capsys):
+        p = pipeline_paths
+        assert run_train(p) == 0
+        lines = p["train"].read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "inf"
+        lines[3] = ",".join(cells)
+        p["train"].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_calibrate(p) == cli.EXIT_INPUT_ERROR
+        message = f"error: {p['train']}: non-finite feature value inf at row 4, column 'f2'\n"
+        assert capsys.readouterr().err == message
+        assert not p["calibrated"].exists()
+
     def test_zero_repeats_is_input_error(self, pipeline_paths, capsys):
         p = pipeline_paths
         code = cli.main(

@@ -13,6 +13,7 @@ from minaxp import (
     cover_problem,
     is_valid_explanation,
     lift_solution,
+    predict,
     random_case,
     score,
     solve_rejection_ilp,
@@ -222,3 +223,32 @@ def test_weak_bound_fallback_gives_same_optimum(split_demand_case, monkeypatch):
         weak2 = solve_rejection_ilp(cover_problem(clf2, inst2))
         assert weak2.optimal
         assert weak2.objective == brute_force_minimum(clf2, inst2).size
+
+
+def _quarter_step_rejection(rng, n):
+    """A rejected case on quarter-step weights and values and thresholds on
+    sixteenths, so that gains, their sums and the needs tie exactly."""
+    while True:
+        weights, bias = rng.integers(-4, 5, n) / 4.0, float(rng.integers(-2, 3)) / 4.0
+        model = LinearModel(weights, bias, unit_box(n))
+        half = float(rng.integers(1, 9)) / 16.0
+        clf = RejectClassifier(model, -half, half)
+        instance = Instance.validated(model, rng.integers(0, 5, n) / 4.0)
+        if predict(clf, instance).label is Label.REJECT:
+            return clf, instance
+
+
+def test_lower_bound_brackets_the_minimum():
+    rng = np.random.default_rng(15)
+    uncertified = 0
+    for i in range(300):
+        n = int(rng.integers(2, 15))
+        clf, instance = _quarter_step_rejection(rng, n) if i % 2 else random_case(rng, n, Label.REJECT)
+        problem = cover_problem(clf, instance)
+        minimum = brute_force_minimum(clf, instance).size
+        for node_limit in (0, 1, 7):
+            solution = solve_rejection_ilp(problem, node_limit=node_limit)
+            assert solution.lower_bound <= minimum <= solution.objective
+            assert solution.optimal == (solution.lower_bound == solution.objective)
+            uncertified += not solution.optimal
+    assert uncertified >= 30

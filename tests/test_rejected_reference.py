@@ -3,9 +3,12 @@
 The copy below is ``solve_rejection_ilp`` and its helpers as they stood
 before the bounds became per-depth ``array('d')`` prefix sums searched with
 ``bisect``: per-family numpy prefix sums searched with ``np.searchsorted``,
-numpy-scalar reads and heap entries that copy their chosen positions.  Both
-must walk the same tree, so every field of a solution but its time must
-match: ``selected``, ``objective``, ``optimal`` and ``nodes_explored``.
+numpy-scalar reads and heap entries that copy their chosen positions.  It
+starts from a greedy walk and trim and bounds with three families.  The
+solver now starts from first-fit fills and adds a surrogate family, so its
+tree differs; at the same node cap it must never be worse: an objective no
+larger, certified whenever the copy is, and the same objective when both
+are certified.
 The copy reads the program in its earlier correction form, which
 ``RejectionIlp`` below builds from the problem's gains and needs.
 
@@ -369,12 +372,15 @@ def cases():
     return [_rejected_problem(rng, i) for i in range(CASES)]
 
 
-def _same_answer(problem, node_limit):
+def _never_worse(problem, node_limit):
     new = rejected.solve_rejection_ilp(problem, node_limit=node_limit, time_limit=math.inf)
     old = solve_rejection_ilp(RejectionIlp.of(problem), node_limit=node_limit, time_limit=math.inf)
-    assert new.selected.dtype == np.intp and tuple(new.selected.tolist()) == old.selected
-    fields = ("objective", "optimal", "nodes_explored")
-    assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
+    assert new.selected.dtype == np.intp
+    assert new.objective <= old.objective
+    assert new.optimal or not old.optimal
+    if new.optimal and old.optimal:
+        assert new.objective == old.objective
+    assert problem.holds(new.selected)
     return new
 
 
@@ -388,18 +394,17 @@ def test_same_tree_and_answers_in_the_pack_view(cases, monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(rejected, "_search_pack", counted)
-    solutions = [_same_answer(problem, NODE_CAP) for problem in cases]
+    solutions = [_never_worse(problem, NODE_CAP) for problem in cases]
     # A case that needs no pin returns before any search.
     needs_a_pin = sum(max(p.need_up, p.need_down) > DEFAULT_EPSILON for p in cases)
     assert searches == needs_a_pin >= CASES - 5
     certified = sum(s.optimal for s in solutions)
     assert 300 <= certified < CASES  # mostly certified; some runs hit the cap
-    assert sum(s.nodes_explored > 0 for s in solutions) >= 100
 
 
 @pytest.mark.parametrize("node_limit", [1, 7, 50])
 def test_same_incumbents_when_the_node_budget_runs_out(cases, node_limit):
-    solutions = [_same_answer(problem, node_limit) for problem in cases]
+    solutions = [_never_worse(problem, node_limit) for problem in cases]
     assert sum(not s.optimal for s in solutions) >= 20
 
 
@@ -408,7 +413,7 @@ def test_same_tree_with_whole_order_bounds(cases, monkeypatch):
     monkeypatch.setattr(rejected, "_SUFFIX_EXACT_LIMIT", 0)
     monkeypatch.setattr(sys.modules[__name__], "_SUFFIX_EXACT_LIMIT", 0)
     for problem in cases[:120]:
-        _same_answer(problem, NODE_CAP)
+        _never_worse(problem, NODE_CAP)
 
 
 def test_single_view_never_worse_than_two_views(cases):
