@@ -2,19 +2,22 @@
 
 A rejection explanation must keep the score inside the band from both
 sides, which makes it a two-constraint covering problem over the
-per-feature gains.  This demo builds the program, solves it with the built-in branch and bound, and contrasts the
-result with the deletion-based subset-minimal baseline.
+per-feature gains.  This demo builds the program, solves it with the
+built-in branch and bound, checks the answer with ``CoverProblem.holds``
+(the one validity test every reported explanation passes), and contrasts
+the result with the deletion-based subset-minimal baseline.
 """
 
 import numpy as np
 
 from minaxp import (
+    Explanation,
+    ExplanationKind,
     Instance,
     LinearModel,
     RejectClassifier,
     cover_problem,
     deletion_explanation,
-    lift_solution,
     predict,
     solve_rejection_ilp,
     unit_box,
@@ -40,9 +43,10 @@ solution = solve_rejection_ilp(problem)
 print(f"\nsolver: selected {solution.selected.tolist()}, objective {solution.objective}, "
       f"optimal {solution.optimal}, nodes {solution.nodes_explored}")
 
-explanation = lift_solution(problem, solution)
+explanation = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
 baseline = deletion_explanation(problem)
-print(f"exact explanation:    {list(explanation.indices)} (size {explanation.size})")
+print(f"exact explanation:    {list(explanation.indices)} (size {explanation.size}), "
+      f"holds {problem.holds(explanation.index_array)}")
 print(f"baseline explanation: {list(baseline.indices)} (size {baseline.size})")
 print("\nthe baseline is irredundant (no single remaining feature can be")
 print("dropped), yet one size larger: deleting feature 0 early locked it")

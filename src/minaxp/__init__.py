@@ -64,7 +64,6 @@ from .rejected import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
     IlpSolution,
-    lift_solution,
     solve_rejection_ilp,
 )
 
@@ -104,7 +103,6 @@ __all__ = [
     "explain_instance",
     "greedy_explanation",
     "is_valid_explanation",
-    "lift_solution",
     "load_dataset",
     "load_model",
     "predict",

@@ -154,12 +154,23 @@ def calibrate_thresholds(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Batch gradient-descent settings for the logistic trainer."""
+    """Batch gradient-descent settings for the logistic trainer; settings
+    that would train silently to a meaningless model are refused."""
 
     l2: float = 1.0
     learning_rate: float = 0.1
     max_iter: int = 10_000
     grad_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("l2", "grad_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

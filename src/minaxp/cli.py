@@ -52,6 +52,13 @@ def _parse_label_column(value: str | None) -> str | int | None:
 _NO_LABEL = object()
 
 
+def _one_character(value: str) -> str:
+    """A CSV delimiter: Python's csv module takes exactly one character."""
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {value!r}")
+    return value
+
+
 def _load(path, delimiter, label_col, scaling=None) -> Dataset:
     """A labelled dataset for ``train`` and ``calibrate``, whose every feature cell is finite."""
     column = _parse_label_column(label_col)
@@ -111,6 +118,7 @@ def _accuracy_without_reject(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cmd_train(args) -> int:
+    config = TrainConfig(l2=args.l2)
     data = _load(args.data, args.delimiter, args.label_col)
     X_raw, y = data.features, data.labels
     if np.unique(y).size < 2:
@@ -129,7 +137,7 @@ def cmd_train(args) -> int:
         domains = np.column_stack([lo, np.where(hi > lo, hi, lo + 1.0)])
 
     model = train_logistic(
-        X[train_idx], y[train_idx], TrainConfig(l2=args.l2), domains=domains
+        X[train_idx], y[train_idx], config, domains=domains
     )
     save_model(ModelBundle(model=model, scaling=scaling), args.out_model)
 
@@ -341,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_data(p, label_help="label column name or index (default: last column)"):
-        p.add_argument("--delimiter", default=",", help="dataset field delimiter (default: ,)")
+        p.add_argument("--delimiter", type=_one_character, default=",",
+                       help="dataset field delimiter, one character (default: ,)")
         p.add_argument("--label-col", default=None, help=label_help)
 
     p_train = sub.add_parser("train", help="train a logistic model on a 70/30 stratified split")

@@ -353,15 +353,23 @@ class CoverProblem:
             float(self.bottom + self.gain_down[idx].sum()),
         )
 
-    def holds(self, idx: np.ndarray) -> bool:
-        """Whether pinning ``idx`` (sorted, unique, in range) forces the label."""
+    def verdict(self, idx: np.ndarray) -> tuple[bool, bool]:
+        """``(holds, tight)`` of pinning ``idx`` (sorted, unique, in range), from
+        one bound pair: whether it forces the label, and whether a bound then
+        sits within the tolerance of its limit."""
         smax, smin = self._bounds(idx)
-        return smax <= self.ceiling + DEFAULT_EPSILON and smin >= self.floor - DEFAULT_EPSILON
+        return (
+            smax <= self.ceiling + DEFAULT_EPSILON and smin >= self.floor - DEFAULT_EPSILON,
+            abs(smax - self.ceiling) <= DEFAULT_EPSILON or abs(smin - self.floor) <= DEFAULT_EPSILON,
+        )
+
+    def holds(self, idx: np.ndarray) -> bool:
+        """Whether pinning ``idx`` forces the label: the one validity test."""
+        return self.verdict(idx)[0]
 
     def tight(self, idx: np.ndarray) -> bool:
         """Whether a bound with ``idx`` pinned sits within the tolerance of its limit."""
-        smax, smin = self._bounds(idx)
-        return abs(smax - self.ceiling) <= DEFAULT_EPSILON or abs(smin - self.floor) <= DEFAULT_EPSILON
+        return self.verdict(idx)[1]
 
 
 def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:

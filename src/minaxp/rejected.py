@@ -8,7 +8,9 @@ features as possible.  Pinning feature j lowers the upper bound by
 ``gain_up[j] >= 0`` and lifts the lower bound by ``gain_down[j] >= 0``; the
 pinned gains must add up to ``need_up = top - t_plus`` and ``need_down =
 t_minus - bottom`` (within ``DEFAULT_EPSILON``).  Pinning every feature
-collapses both bounds onto the score, so the full set is feasible.
+collapses both bounds onto the score, so the full set is feasible up to
+rounding; a score within rounding of a threshold, where it fails
+``CoverProblem.holds``, raises ``ValueError``.
 
 The built-in solver is a best-first branch and bound over the complement:
 the sets of features that can be left free.  Freeing feature j spends
@@ -24,14 +26,9 @@ sums of the undecided tail, built once per visited depth (one sort, one
 cumulative sum) into an ``array('d')`` that ``bisect`` reads; the search
 itself runs on plain floats and lists.  First-fit fills give the starting
 incumbent; on most narrow-band rows it meets the root bound, and the row
-is certified without branching.
-
-Feasibility of candidate solutions is always confirmed on sums taken in
-ascending feature order (numpy reductions), the same arithmetic the
-closed-form validity check uses; the running per-node sums only steer the
-search.  This keeps accepted solutions consistent with
-``CoverProblem.bounds`` even when thousands of additions would otherwise
-round differently.
+is certified without branching.  The running per-node sums only steer the
+search: an incumbent is accepted only once ``CoverProblem.holds`` passes
+on its pinned set.
 """
 
 from __future__ import annotations
@@ -44,12 +41,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .model import (
-    DEFAULT_EPSILON,
-    CoverProblem,
-    Explanation,
-    ExplanationKind,
-)
+from .model import DEFAULT_EPSILON, CoverProblem, ExplanationKind
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 30.0
@@ -132,43 +124,16 @@ def _positions(link) -> list[int]:
     return positions
 
 
-class _Feasibility:
-    """Candidate acceptance on ascending-feature-index numpy sums.
-
-    The search tracks running sums for speed, but rounding over thousands of
-    sequential additions can disagree with the closed-form validity check
-    near the tolerance boundary.  Candidates are therefore confirmed with
-    the same values in the same reduction order the validity check uses:
-    the original-index gain arrays, indices ascending.
-    """
-
-    def __init__(self, order, gain_up, gain_down, need_up, need_down, eps):
-        self.order = order  # branch position -> original feature index
-        self.gain_up = gain_up
-        self.gain_down = gain_down
-        self.need_up = need_up
-        self.need_down = need_down
-        self.eps = eps
-
-    def pinned(self, removed) -> np.ndarray:
-        """The sorted feature indices at every branch position but ``removed``."""
-        keep = np.ones(self.order.size, dtype=bool)
-        keep[removed] = False
-        return np.sort(self.order[keep])
-
-    def check(self, removed) -> bool:
-        idx = self.pinned(removed)
-        return bool(
-            self.gain_up[idx].sum() >= self.need_up - self.eps
-            and self.gain_down[idx].sum() >= self.need_down - self.eps
-        )
+def _pinned(order: np.ndarray, removed) -> np.ndarray:
+    """The sorted feature indices at every branch position but ``removed``."""
+    keep = np.ones(order.size, dtype=bool)
+    keep[removed] = False
+    return np.sort(order[keep])
 
 
-def _first_fit(positions, up, down, cap_up, cap_down, feasible) -> list[int]:
-    """Free each of ``positions`` in turn whose costs still fit both caps.
-
-    The result is confirmed on canonical sums; if rounding ever disagrees,
-    nothing is freed, so every feature stays pinned."""
+def _first_fit(positions, up, down, cap_up, cap_down, holds) -> list[int]:
+    """Free each of ``positions`` in turn whose costs still fit both caps;
+    unless ``holds`` accepts the result, free nothing."""
     freed = []
     su = sd = 0.0
     for p in positions:
@@ -178,18 +143,19 @@ def _first_fit(positions, up, down, cap_up, cap_down, feasible) -> list[int]:
             freed.append(p)
             su = u
             sd = d
-    return freed if feasible.check(freed) else []
+    return freed if holds(freed) else []
 
 
 def _search_pack(
-    c_up, c_down, budget_up, budget_down, feasible, start, node_limit, time_limit, eps,
+    problem, order, budget_up, budget_down, start, node_limit, time_limit, eps,
 ) -> IlpSolution:
     """Best-first search over removed-feature sets.
 
-    Removing feature j spends (c_up[j], c_down[j]) of the slack budgets, and
-    the goal is to remove as many as possible.  The search stops uncertified
-    once it has expanded ``node_limit`` nodes or ``time_limit`` seconds have
-    passed since ``start``.  Heap entries: (negated upper bound, insertion
+    Removing the feature at branch position j, ``order[j]``, spends its
+    gains of the slack budgets, and the goal is to remove as many as
+    possible; an incumbent must pass ``problem.holds``.  The search stops
+    uncertified once it has expanded ``node_limit`` nodes or ``time_limit``
+    seconds have passed since ``start``.  Heap entries: (negated upper bound, insertion
     sequence, count, depth, spent_up, spent_down, removed), where
     ``removed`` is the last removed position linked to its parent's chain,
     ``(position, removed)``, or None.  Insertion order breaks bound ties,
@@ -197,17 +163,22 @@ def _search_pack(
     """
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
+    c_up, c_down = problem.gain_up[order], problem.gain_down[order]
     sums = _TailSums(c_up, c_down, lam)
     up, down = c_up.tolist(), c_down.tolist()
+
+    def holds(removed) -> bool:
+        return problem.holds(_pinned(order, removed))
+
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
     root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
-    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, feasible)
+    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds)
     if len(best_removed) < root_ub:
         # A fill in the surrogate order, ties by ascending index, so that at
         # lam = 1 it does not repeat the first (ties by descending index).
-        surrogate_order = np.lexsort((feasible.order, sums.values[3])).tolist()
-        second = _first_fit(surrogate_order, up, down, cap_up, cap_down, feasible)
+        surrogate_order = np.lexsort((order, sums.values[3])).tolist()
+        second = _first_fit(surrogate_order, up, down, cap_up, cap_down, holds)
         if len(second) > len(best_removed):
             best_removed = second
     best_count = len(best_removed)
@@ -237,7 +208,7 @@ def _search_pack(
             c_count = count + 1
             if c_count > best_count:
                 positions = _positions(c_removed)
-                if feasible.check(positions):
+                if holds(positions):
                     best_count = c_count
                     best_removed = positions
             if tail is not None:
@@ -254,7 +225,7 @@ def _search_pack(
 
     objective = m - best_count
     return IlpSolution(
-        feasible.pinned(best_removed), objective, optimal, nodes,
+        _pinned(order, best_removed), objective, optimal, nodes,
         time.perf_counter() - start,
         objective if optimal else m + neg_ub,  # -neg_ub: the best outstanding bound
     )
@@ -271,8 +242,9 @@ def solve_rejection_ilp(
     Returns a provably minimum-cardinality feasible selection with
     ``optimal=True`` on normal termination.  If the node or wall-clock budget
     runs out first, the best incumbent found so far is returned with
-    ``optimal=False`` and ``lower_bound`` below ``objective``; an incumbent
-    always exists because the full feature set is feasible.
+    ``optimal=False`` and ``lower_bound`` below ``objective``.  Every
+    selection passes ``problem.holds``: an incumbent always exists, because
+    a problem whose full feature set fails it raises ``ValueError``.
 
     The search branches on the features to leave free, cheapest
     ``gain_up + gain_down`` first, ties by descending index, so that among
@@ -290,27 +262,16 @@ def solve_rejection_ilp(
 
     # Features that move neither bound can never help; drop them up front.
     active = np.flatnonzero((gain_up > 0.0) | (gain_down > 0.0))
-    total_up = float(gain_up[active].sum())
-    total_down = float(gain_down[active].sum())
-    if total_up < need_up - eps or total_down < need_down - eps:
-        raise ValueError("program is infeasible; the instance is not genuinely rejected")
+    if not problem.holds(active):
+        raise ValueError(
+            "program is infeasible: pinning every feature does not keep the score "
+            "in the band; the score lies within rounding of a threshold"
+        )
 
     order = active[np.lexsort((-active, gain_up[active] + gain_down[active]))]
     return _search_pack(
-        gain_up[order], gain_down[order], total_up - need_up, total_down - need_down,
-        _Feasibility(order, gain_up, gain_down, need_up, need_down, eps),
+        problem, order,
+        float(gain_up[active].sum()) - need_up, float(gain_down[active].sum()) - need_down,
         start, node_limit, time_limit, eps,
     )
 
-
-def lift_solution(problem: CoverProblem, solution: IlpSolution) -> Explanation:
-    """Lift a solver result on a rejected problem to an Explanation, guaranteeing validity.
-
-    If comparison-order rounding at the exact tolerance boundary ever makes
-    the solver's selection fail the closed-form check, fall back to the full
-    feature set (always valid) and drop the optimality claim.
-    """
-    explanation = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
-    if problem.holds(explanation.index_array):
-        return explanation
-    return Explanation(np.arange(problem.gain_up.size), ExplanationKind.REJECTION, False)

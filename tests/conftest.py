@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minaxp import Instance, LinearModel, RejectClassifier, unit_box
+from minaxp import DEFAULT_EPSILON, Instance, LinearModel, RejectClassifier, score, unit_box
 
 
 @pytest.fixture
@@ -52,3 +52,34 @@ def write_csv(path: Path, X: np.ndarray, y: np.ndarray, delimiter: str = ","):
         writer.writerow([f"f{i}" for i in range(X.shape[1])] + ["label"])
         for row, label in zip(X, y):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+BOUNDARY_CASES = ("REJECT on t_plus", "REJECT on t_minus", "POSITIVE", "NEGATIVE")
+
+
+def boundary_case(rng, case: int):
+    """A row whose score sits on a threshold, on weights U(-1, 1) * 1e4 over
+    [0, 1e4] domains, so that bounds summed over its gains round by more
+    than the default tolerance.  ``BOUNDARY_CASES[case]`` says where: a
+    rejected row's own score is one edge of its band; an accepted row's
+    score is one ulp past ``t_plus + eps`` or ``t_minus - eps``."""
+    n = int(rng.integers(2, 13))
+    scale = 1e4
+    model = LinearModel(rng.uniform(-1.0, 1.0, n) * scale, 0.0, unit_box(n) * scale)
+    instance = Instance(rng.uniform(0.0, scale, n))
+    s = score(model, instance)
+    width = scale * scale * rng.uniform(0.05, 1.0)
+    if case == 0:
+        return RejectClassifier(model, s - width, s), instance
+    if case == 1:
+        return RejectClassifier(model, s, s + width), instance
+    eps = DEFAULT_EPSILON
+    if case == 2:  # the prediction rule's own comparisons, stepped one ulp at a time
+        t = s - eps
+        while not s > t + eps:
+            t = float(np.nextafter(t, -np.inf))
+        return RejectClassifier(model, t - width, t), instance
+    t = s + eps
+    while not s < t - eps:
+        t = float(np.nextafter(t, np.inf))
+    return RejectClassifier(model, t, t + width), instance

@@ -2,6 +2,7 @@ import numpy as np
 
 from minaxp import (
     DEFAULT_EPSILON,
+    Explanation,
     ExplanationKind,
     Instance,
     Label,
@@ -12,7 +13,6 @@ from minaxp import (
     deletion_explanation,
     greedy_explanation,
     is_valid_explanation,
-    lift_solution,
     predict,
     random_case,
     solve_rejection_ilp,
@@ -67,7 +67,8 @@ def test_never_smaller_than_certified_minimum():
         problem = cover_problem(clf, instance)
         baseline = deletion_explanation(problem)
         if label is Label.REJECT:
-            exact = lift_solution(problem, solve_rejection_ilp(problem))
+            solution = solve_rejection_ilp(problem)
+            exact = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
         else:
             exact = greedy_explanation(problem)
         assert baseline.size >= exact.size

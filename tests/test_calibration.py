@@ -124,6 +124,29 @@ class TestTrainLogistic:
         y = np.array([-1, -1, -1, 1, 1, 1])
         return X, y
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"l2": -50.0}, "l2 must be a finite number >= 0, got -50.0"),
+            ({"l2": float("nan")}, "l2 must be a finite number >= 0, got nan"),
+            ({"l2": float("inf")}, "l2 must be a finite number >= 0, got inf"),
+            ({"learning_rate": 0.0}, "learning_rate must be a finite number > 0, got 0.0"),
+            ({"learning_rate": -0.1}, "learning_rate must be a finite number > 0, got -0.1"),
+            ({"learning_rate": float("inf")}, "learning_rate must be a finite number > 0, got inf"),
+            ({"max_iter": -1}, "max_iter must be at least 0, got -1"),
+            ({"grad_tol": -1e-6}, "grad_tol must be a finite number >= 0, got -1e-06"),
+            ({"grad_tol": float("nan")}, "grad_tol must be a finite number >= 0, got nan"),
+        ],
+        ids=["l2-negative", "l2-nan", "l2-inf", "rate-zero", "rate-negative", "rate-inf",
+             "max-iter-negative", "grad-tol-negative", "grad-tol-nan"],
+    )
+    def test_bad_settings_refused(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**settings)
+
+    def test_boundary_settings_accepted(self):
+        TrainConfig(l2=0.0, max_iter=0, grad_tol=0.0)
+
     def test_separable_toy_fully_learned(self, toy):
         X, y = toy
         model = train_logistic(X, y)

@@ -14,6 +14,8 @@ from minaxp import (
     ExplanationKind,
     LinearModel,
     ModelBundle,
+    cover_problem,
+    explain_instance,
     load_dataset,
     load_model,
     read_explanation_report,
@@ -21,7 +23,7 @@ from minaxp import (
     unit_box,
 )
 
-from conftest import make_overlap_dataset, write_csv
+from conftest import boundary_case, make_overlap_dataset, write_csv
 
 
 @pytest.fixture
@@ -599,6 +601,67 @@ class TestExitCodes:
         message = f"error: {p['train']}: non-finite feature value inf at row 4, column 'f2'\n"
         assert capsys.readouterr().err == message
         assert not p["calibrated"].exists()
+
+    @pytest.mark.parametrize("delimiter", [";;", ""], ids=["two", "empty"])
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("train", ["--data", "d.csv", "--out-model", "m.json"]),
+            ("calibrate", ["--model", "m.json", "--data", "d.csv", "--out-model", "c.json"]),
+            ("explain", ["--model", "m.json", "--data", "d.csv", "--out-report", "r.jsonl"]),
+            ("verify", ["--model", "m.json", "--data", "d.csv"]),
+            ("benchmark", ["--model", "m.json", "--data", "d.csv", "--out-report", "r.jsonl"]),
+        ],
+        ids=["train", "calibrate", "explain", "verify", "benchmark"],
+    )
+    def test_delimiter_of_other_length_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, args, delimiter
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *args, "--delimiter", delimiter])
+        assert exit_info.value.code == cli.EXIT_INPUT_ERROR
+        message = f"argument --delimiter: must be one character, got {delimiter!r}"
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("l2", ["-50", "nan", "inf", "-inf"])
+    def test_bad_l2_is_input_error(self, pipeline_paths, capsys, l2):
+        p = pipeline_paths
+        code = cli.main(["train", "--data", str(p["data"]), f"--l2={l2}", "--out-model", str(p["model"])])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: l2 must be a finite number >= 0, got {float(l2)}\n"
+        assert not p["model"].exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [(0, "program is infeasible"), (2, "the minabro explanation does not force POSITIVE")],
+        ids=["rejected", "positive"],
+    )
+    def test_row_that_no_set_holds_is_input_error(self, tmp_path, capsys, case, message):
+        # A score on a threshold that every pinned set, the full one too,
+        # rounds past: refused, never written as an invalid record.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            clf, instance = boundary_case(rng, case)
+            try:
+                explain_instance(clf, instance, 0)
+            except ValueError as exc:
+                if message in str(exc):
+                    break
+        else:
+            pytest.fail(f"no row of 200 is refused with {message!r}")
+        assert not cover_problem(clf, instance).holds(np.arange(clf.model.n_features))
+        model, report = tmp_path / "model.json", tmp_path / "r.jsonl"
+        save_model(ModelBundle(clf.model, clf.t_minus, clf.t_plus), model)
+        code = cli.main(
+            ["explain", "--model", str(model), "--instance-json", json.dumps(instance.values.tolist()),
+             "--out-report", str(report)]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance 0: ") and message in err, err
+        assert not report.exists()
 
     def test_zero_repeats_is_input_error(self, pipeline_paths, capsys):
         p = pipeline_paths

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ from minaxp import (
     Explanation,
     ExplanationKind,
     ExplanationRecord,
+    IlpSolution,
     Instance,
     Label,
     LabelMismatchError,
@@ -19,12 +21,13 @@ from minaxp import (
     deletion_explanation,
     explain_instance,
     greedy_explanation,
-    lift_solution,
     predict,
     random_case,
     solve_rejection_ilp,
     unit_box,
 )
+
+from conftest import BOUNDARY_CASES, boundary_case
 
 
 def _reference_tight(clf, instance, explanation, eps):
@@ -65,7 +68,7 @@ def _reference_explain(clf, instance, instance_id, method, eps=DEFAULT_EPSILON):
         else:
             problem = cover_problem(clf, instance)
             solution = solve_rejection_ilp(problem)
-            explanation = lift_solution(problem, solution)
+            explanation = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
             nodes = solution.nodes_explored
         records.append(record(explanation, "minabro", nodes))
     if method in ("baseline", "both"):
@@ -132,3 +135,47 @@ def test_boundary_tight_refuses_a_kind_the_label_does_not_call_for(band_case):
     assert problem.expect(ExplanationKind.REJECTION).tight(pinned)
     with pytest.raises(LabelMismatchError):
         problem.expect(ExplanationKind.POSITIVE).tight(pinned)
+
+
+def test_explanation_that_fails_holds_is_refused(monkeypatch, band_case):
+    # A solver result that pins nothing leaves the band case's score free to
+    # leave the band: no record, and no repair to the full set either.
+    import minaxp.explain as explain
+
+    def doctored(problem, *args):
+        return IlpSolution(np.empty(0, np.intp), 0, True, 0, 0.0)
+
+    monkeypatch.setattr(explain, "solve_rejection_ilp", doctored)
+    clf, instance = band_case
+    with pytest.raises(ValueError, match="^instance 7: the minabro explanation does not force REJECT"):
+        explain_instance(clf, instance, 7)
+
+
+def test_boundary_rows_emit_only_records_that_hold():
+    # A score on a threshold: the bounds with every feature pinned round to
+    # either side of it.  Every record must pass the one validity test, and
+    # a row may be refused only when no set passes it.
+    rng = np.random.default_rng(17)
+    counts = collections.Counter()
+    for i in range(480):
+        case = BOUNDARY_CASES[i % 4]
+        clf, instance = boundary_case(rng, i % 4)
+        problem = cover_problem(clf, instance)
+        assert problem.label.value == case.split()[0]
+        try:
+            records = explain_instance(clf, instance, i, method="both")
+        except ValueError as exc:
+            assert str(exc).startswith(f"instance {i}: "), exc
+            if problem.holds(np.arange(problem.gain_up.size)):
+                # Still open: the greedy's sorted prefix sums can fall short
+                # of a need that every feature covers in ``holds``' sums.
+                assert isinstance(exc, LabelMismatchError) and "not coverable" in str(exc), (i, exc)
+                counts["greedy falls short"] += 1
+            else:
+                counts[f"refused {case}"] += 1
+            continue
+        for record in records:
+            assert problem.holds(np.asarray(record.indices, dtype=np.intp)), (i, record)
+        counts[f"explained {case}"] += 1
+    for case in BOUNDARY_CASES:
+        assert counts[f"explained {case}"] >= 20 and counts[f"refused {case}"] >= 5, counts

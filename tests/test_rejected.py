@@ -3,6 +3,7 @@ import pytest
 
 import minaxp.rejected as rejected_mod
 from minaxp import (
+    Explanation,
     ExplanationKind,
     Instance,
     Label,
@@ -12,7 +13,6 @@ from minaxp import (
     brute_force_minimum,
     cover_problem,
     is_valid_explanation,
-    lift_solution,
     predict,
     random_case,
     score,
@@ -130,10 +130,14 @@ def test_budget_exhaustion_returns_valid_incumbent(bound_gap_case):
     assert is_valid_explanation(clf, instance, solution.selected, ExplanationKind.REJECTION)
 
 
+def _rejection_explanation(problem, **limits):
+    solution = solve_rejection_ilp(problem, **limits)
+    return Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
+
+
 def test_explain_rejection_wraps_solution(band_case):
     clf, instance = band_case
-    problem = cover_problem(clf, instance)
-    explanation = lift_solution(problem, solve_rejection_ilp(problem))
+    explanation = _rejection_explanation(cover_problem(clf, instance))
     assert explanation.kind is ExplanationKind.REJECTION
     assert explanation.size == 1
     assert explanation.certified_minimum
@@ -145,27 +149,12 @@ def test_single_feature_wide_band_needs_nothing():
     clf = RejectClassifier(model, -1.0, 1.0)
     instance = Instance.validated(model, [0.5])
     problem = cover_problem(clf, instance)
-    assert lift_solution(problem, solve_rejection_ilp(problem)).indices == ()
+    assert _rejection_explanation(problem).indices == ()
 
 
 def test_budget_fallback_is_flagged_not_certified(bound_gap_case):
     clf, instance = bound_gap_case
-    problem = cover_problem(clf, instance)
-    explanation = lift_solution(problem, solve_rejection_ilp(problem, node_limit=0))
-    assert not explanation.certified_minimum
-    assert is_valid_explanation(clf, instance, explanation.indices, ExplanationKind.REJECTION)
-
-
-def test_invalid_solution_repaired_to_full_set(band_case):
-    # a doctored, infeasible "solution" must be replaced by the full set
-    from minaxp.rejected import IlpSolution
-
-    clf, instance = band_case
-    doctored = IlpSolution(
-        selected=np.empty(0, np.intp), objective=0, optimal=True, nodes_explored=0, solve_time=0.0
-    )
-    explanation = lift_solution(cover_problem(clf, instance), doctored)
-    assert explanation.indices == (0, 1)
+    explanation = _rejection_explanation(cover_problem(clf, instance), node_limit=0)
     assert not explanation.certified_minimum
     assert is_valid_explanation(clf, instance, explanation.indices, ExplanationKind.REJECTION)
 
