@@ -48,6 +48,7 @@ from .model import (
     Prediction,
     RejectClassifier,
     cover_problem,
+    cover_problems,
     is_valid_explanation,
     predict,
     score,
@@ -98,6 +99,7 @@ __all__ = [
     "calibrate_thresholds",
     "candidate_grid",
     "cover_problem",
+    "cover_problems",
     "deletion_explanation",
     "evaluate_risk",
     "explain_instance",

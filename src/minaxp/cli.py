@@ -31,7 +31,7 @@ from .dataio import (
     write_explanation_report,
 )
 from .explain import METHODS, explain_instance
-from .model import DEFAULT_EPSILON, DomainError, Instance, Label, score_from_products
+from .model import DEFAULT_EPSILON, DomainError, Instance, Label, cover_problems, score_from_products
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
@@ -59,34 +59,40 @@ def _one_character(value: str) -> str:
     return value
 
 
+def _check_finite(path, features: np.ndarray, names) -> None:
+    """Refuse a non-finite feature cell, naming its file row and column."""
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite feature value {features[row, col]} "
+                         f"at row {row + 2}, column {names[col]!r}")
+
+
 def _load(path, delimiter, label_col, scaling=None) -> Dataset:
-    """A labelled dataset for ``train`` and ``calibrate``, whose every feature cell is finite."""
+    """A labelled dataset for ``train`` and ``calibrate``, whose every feature
+    cell is finite before ``scaling`` (which maps a constant column to 0)."""
     column = _parse_label_column(label_col)
     if column is _NO_LABEL:
         raise ValueError("this command requires a label column")
-    data = load_dataset(path, delimiter=delimiter, label_column=column, scaling=scaling)
-    bad = np.argwhere(~np.isfinite(data.features))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{path}: non-finite feature value {data.features[row, col]} "
-                         f"at row {row + 2}, column {data.feature_names[col]!r}")
-    return data
+    data = load_dataset(path, delimiter=delimiter, label_column=column)
+    _check_finite(path, data.features, data.feature_names)
+    if scaling is None:
+        return data
+    return dataclasses.replace(data, features=scaling.transform(data.features), scaling=scaling)
 
 
-def _data_rows(args, bundle, limit) -> list:
-    """(row_number, values_after_scaling) for the first ``limit`` rows of
-    --data (all when ``limit`` is None); any label column is read and dropped."""
+def _data_rows(args, bundle, limit) -> np.ndarray:
+    """The first ``limit`` rows of --data (all when ``limit`` is None), after
+    scaling, every cell finite; any label column is read and dropped."""
     column = _parse_label_column(args.label_col)
     if column is _NO_LABEL:
-        features, _ = load_feature_matrix(args.data, delimiter=args.delimiter)
-        if bundle.scaling is not None:
-            features = bundle.scaling.transform(features)
+        features, names = load_feature_matrix(args.data, delimiter=args.delimiter)
     else:
-        data = load_dataset(
-            args.data, delimiter=args.delimiter, label_column=column, scaling=bundle.scaling
-        )
-        features = data.features
-    return list(enumerate(features[:limit]))
+        data = load_dataset(args.data, delimiter=args.delimiter, label_column=column)
+        features, names = data.features, data.feature_names
+    features = features[:limit]
+    _check_finite(args.data, features, names)
+    return features if bundle.scaling is None else bundle.scaling.transform(features)
 
 
 def _stratified_split(labels: np.ndarray, train_fraction: float, seed: int):
@@ -181,8 +187,9 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _instances_from_args(args, bundle):
-    """The first --limit (instance_id, values_after_scaling) rows of --data or --instance-json."""
+def _instances_from_args(args, bundle) -> np.ndarray:
+    """The first --limit rows of --data or --instance-json, after scaling;
+    a row's instance id is its position."""
     if (args.data is None) == (args.instance_json is None):
         raise ValueError("provide exactly one of --data or --instance-json")
     if args.instance_json is not None:
@@ -206,7 +213,7 @@ def _instances_from_args(args, bundle):
         values = np.asarray(payload, dtype=float)
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
-        return [(0, values)][: args.limit]
+        return values[None, :][: args.limit]
     return _data_rows(args, bundle, args.limit)
 
 
@@ -221,7 +228,8 @@ def _check_limits(args) -> None:
 
 
 def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]:
-    """Explain every selected row ``repeats`` times over; each record's
+    """Explain every selected row ``repeats`` times over, from cover problems
+    built a block of rows at a time; with several repeats each record's
     ``time_ms`` is the median of its repeats'.  Returns the records and the
     number of out-of-domain rows skipped."""
     _check_limits(args)
@@ -229,22 +237,23 @@ def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]
     clf = bundle.classifier()
     records: list[ExplanationRecord] = []
     skipped = 0
-    for instance_id, values in _instances_from_args(args, bundle):
-        instance = Instance(values)
-        try:
-            runs = [
-                explain_instance(
-                    clf,
-                    instance,
-                    instance_id,
-                    method=args.method,
-                    node_limit=args.node_limit,
-                    time_limit=args.time_limit,
-                )
-                for _ in range(repeats)
-            ]
-        except DomainError:
+    for instance_id, problem in enumerate(cover_problems(clf, _instances_from_args(args, bundle))):
+        if problem is None:
             skipped += 1
+            continue
+        runs = [
+            explain_instance(
+                clf,
+                problem,
+                instance_id,
+                method=args.method,
+                node_limit=args.node_limit,
+                time_limit=args.time_limit,
+            )
+            for _ in range(repeats)
+        ]
+        if repeats == 1:
+            records += runs[0]
             continue
         for same in zip(*runs):
             median = statistics.median(record.time_ms for record in same)
@@ -301,7 +310,7 @@ def _data_cases(args):
         raise ValueError(
             f"model has {clf.model.n_features} features; verification is capped at --max-n {args.max_n}"
         )
-    return ((clf, Instance(values)) for _, values in _data_rows(args, bundle, args.cases or None))
+    return ((clf, Instance(values)) for values in _data_rows(args, bundle, args.cases or None))
 
 
 def cmd_verify(args) -> int:

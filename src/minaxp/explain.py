@@ -13,7 +13,9 @@ import time
 from .baseline import deletion_explanation
 from .classified import greedy_explanation
 from .dataio import ExplanationRecord
-from .model import Explanation, ExplanationKind, Instance, Label, RejectClassifier, cover_problem
+from .model import (
+    CoverProblem, Explanation, ExplanationKind, Instance, Label, RejectClassifier, cover_problem,
+)
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_rejection_ilp
 
 METHODS = ("minabro", "baseline", "both")
@@ -21,7 +23,7 @@ METHODS = ("minabro", "baseline", "both")
 
 def explain_instance(
     clf: RejectClassifier,
-    instance: Instance,
+    instance: Instance | CoverProblem,
     instance_id: int | str,
     method: str = "minabro",
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -29,14 +31,16 @@ def explain_instance(
 ) -> list[ExplanationRecord]:
     """Explain one instance with the requested method(s), returning report records.
 
-    The instance is validated, scored and turned into its cover problem once;
-    each record's ``time_ms`` covers its explainer working from that problem.
+    The instance is validated, scored and turned into its cover problem once,
+    unless it is given as that problem (``model.cover_problems`` builds them
+    for a block of rows); each record's ``time_ms`` covers its explainer
+    working from that problem.
     An explainer that finds no set, or a set that fails ``CoverProblem.holds``
     (a score within rounding of a threshold), raises ``ValueError`` naming the instance.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    problem = cover_problem(clf, instance)
+    problem = instance if isinstance(instance, CoverProblem) else cover_problem(clf, instance)
 
     records = []
     for name in ("minabro", "baseline") if method == "both" else (method,):

@@ -173,7 +173,8 @@ def _search_pack(
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
     root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
-    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds)
+    # With a root bound of 0 the answer is the active set, which already holds.
+    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds) if root_ub else []
     if len(best_removed) < root_ub:
         # A fill in the surrogate order, ties by ascending index, so that at
         # lam = 1 it does not repeat the first (ties by descending index).

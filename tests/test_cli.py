@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 import minaxp.cli as cli
+import minaxp.model as model_module
 from minaxp import (
+    DomainError,
     Explanation,
     ExplanationKind,
+    Instance,
     LinearModel,
     ModelBundle,
+    RejectClassifier,
+    ScalingInfo,
     cover_problem,
     explain_instance,
     load_dataset,
@@ -398,6 +403,98 @@ class TestEdgeFlags:
         records, aggregate = read_explanation_report(report)
         assert records == []
         assert all(group["count"] == 0 for group in aggregate["by_group"].values())
+
+
+class TestRowBlocks:
+    """``explain`` and ``benchmark`` build the cover problems of a block of
+    rows at a time and still explain each row on its own."""
+
+    @staticmethod
+    def _files(tmp_path, n_rows=10):
+        # An unscaled 4-feature model on the unit box; rows 2, 3 and 7 leave it.
+        rng = np.random.default_rng(5)
+        model = LinearModel(rng.normal(size=4), 0.0, unit_box(4))
+        X = rng.random((n_rows, 4))
+        X[2, 1], X[3, 0], X[7, 3] = 1.25, -0.5, 2.0
+        inside = np.sort(np.delete(X, [2, 3, 7], axis=0) @ model.weights)
+        clf = RejectClassifier(model, (inside[1] + inside[2]) / 2, (inside[-3] + inside[-2]) / 2)
+        model_path, data = tmp_path / "model.json", tmp_path / "rows.csv"
+        save_model(ModelBundle(model, clf.t_minus, clf.t_plus), model_path)
+        write_csv(data, X, np.where(np.arange(n_rows) % 2, 1, -1))
+        return clf, X, model_path, data
+
+    @pytest.mark.parametrize("limit", [None, 3, 4, 8])
+    @pytest.mark.parametrize("command", ["explain", "benchmark"])
+    def test_out_of_domain_rows_on_both_sides_of_a_block_boundary(
+        self, tmp_path, monkeypatch, command, limit
+    ):
+        # Three rows per block: rows 2 and 3 sit on either side of the first boundary.
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 3 * 4 * 8 * 4)
+        clf, X, model_path, data = self._files(tmp_path)
+        expected, skipped = [], 0
+        for i, row in enumerate(X[:limit]):
+            try:
+                expected += explain_instance(clf, Instance(row), i, method="both")
+            except DomainError:
+                skipped += 1
+        assert skipped == {None: 3, 3: 1, 4: 2, 8: 3}[limit]
+        calls = []
+        explain = cli.explain_instance
+        monkeypatch.setattr(cli, "explain_instance", lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
+        report = tmp_path / "report.jsonl"
+        argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
+                "--out-report", str(report)]
+        argv += [] if limit is None else ["--limit", str(limit)]
+        argv += ["--repeats", "2"] if command == "benchmark" else []
+        assert cli.main(argv) == 0
+        records, aggregate = read_explanation_report(report)
+        assert [dataclasses.replace(r, time_ms=0.0) for r in records] == [
+            dataclasses.replace(r, time_ms=0.0) for r in expected
+        ]
+        assert aggregate["skipped_out_of_domain"] == skipped
+        # One explain_instance call per explained row and repeat.
+        explained = [r.instance_id for r in expected if r.method == "minabro"]
+        assert calls == [i for i in explained for _ in range(2 if command == "benchmark" else 1)]
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "constant-scaled-column"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["explain", "benchmark", "verify", "calibrate"])
+    def test_non_finite_data_cell_names_its_row(self, tmp_path, capsys, command, value, scaled):
+        clf, X, model_path, data = self._files(tmp_path)
+        if scaled:  # scaling maps a constant column to 0, and would hide the cell
+            bundle = load_model(model_path)
+            mins, maxs = np.zeros(4), np.ones(4)
+            mins[2] = maxs[2] = 0.5
+            save_model(ModelBundle(bundle.model, clf.t_minus, clf.t_plus, ScalingInfo(mins, maxs)),
+                       model_path)
+        lines = data.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = value
+        lines[5] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.jsonl"
+        argv = [command, "--model", str(model_path), "--data", str(data)]
+        argv += {"verify": [], "calibrate": ["--out-model", str(report)]}.get(
+            command, ["--out-report", str(report)]
+        )
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+        message = f"error: {data}: non-finite feature value {value} at row 6, column 'f2'\n"
+        assert capsys.readouterr().err == message
+        assert not report.exists()
+        # Rows past --limit are not read as instances.
+        if command in ("explain", "benchmark"):
+            assert cli.main(argv + ["--limit", "4"]) == 0
+
+    @pytest.mark.parametrize("command", ["explain", "benchmark", "verify"])
+    def test_width_mismatch_message_is_unchanged(self, tmp_path, capsys, command):
+        _, X, model_path, data = self._files(tmp_path)
+        write_csv(data, X[:, :3], np.ones(X.shape[0]))
+        report = tmp_path / "report.jsonl"
+        argv = [command, "--model", str(model_path), "--data", str(data)]
+        argv += [] if command == "verify" else ["--out-report", str(report)]
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: instance has 3 values but model expects 4\n"
+        assert not report.exists()
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"

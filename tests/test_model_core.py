@@ -20,6 +20,8 @@ from minaxp import (
     score,
     unit_box,
 )
+import minaxp.model as model_module
+from minaxp.classified import greedy_explanation
 from minaxp.model import score_from_products
 
 
@@ -120,6 +122,73 @@ class TestCoverProblem:
         clf, instance = pos3_case
         problem = cover_problem(clf, instance)
         np.testing.assert_array_equal(problem.gain_down, [3.0, 2.0, 1.0])
+
+
+def _problem_fields(problem):
+    return (problem.label, problem.kind, problem.score, problem.top, problem.bottom,
+            problem.ceiling, problem.floor, problem.gain_up.tobytes(), problem.gain_down.tobytes())
+
+
+class TestCoverProblems:
+    @staticmethod
+    def _case(n, rows):
+        """Rows spread over all three labels, two of them outside the domains."""
+        rng = np.random.default_rng(n)
+        model = LinearModel(rng.normal(size=n), 0.125, unit_box(n))
+        X = rng.random((rows, n))
+        X[1, 0] = 1.5
+        X[rows - 2, n - 1] = -0.25
+        inside = np.delete(X, [1, rows - 2], axis=0)
+        s = np.sort(score_from_products(inside * model.weights, model.bias))
+        return RejectClassifier(model, (s[1] + s[2]) / 2, (s[-3] + s[-2]) / 2), X
+
+    def _assert_matches_per_row(self, clf, X):
+        problems = list(model_module.cover_problems(clf, X))  # earlier blocks outlive later ones
+        assert len(problems) == X.shape[0]
+        labels = set()
+        for row, problem in zip(np.ascontiguousarray(X), problems):
+            try:
+                alone = cover_problem(clf, Instance(row))
+            except DomainError:
+                assert problem is None
+                continue
+            assert _problem_fields(problem) == _problem_fields(alone)
+            labels.add(problem.label)
+        assert None in problems
+        return labels
+
+    @pytest.mark.parametrize("n", [1, 30, 8192, 8193, 16384])
+    def test_each_field_matches_cover_problem_across_blocks(self, n, monkeypatch):
+        # Three rows per block: ten rows span four blocks, the last short.
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 3 * 4 * 8 * n)
+        clf, X = self._case(n, 10)
+        assert self._assert_matches_per_row(clf, X) == set(Label)
+        self._assert_matches_per_row(clf, np.asfortranarray(X))
+
+    def test_full_size_blocks(self):
+        clf, X = self._case(30, 2500)  # 546 rows of 30 features fill a block
+        assert self._assert_matches_per_row(clf, X) == set(Label)
+
+    def test_greedy_work_rows_stay_inside_their_row(self):
+        clf, X = self._case(30, 40)
+        problems = [p for p in model_module.cover_problems(clf, X) if p is not None]
+        before = [_problem_fields(p) for p in problems]
+        for problem in problems:
+            if problem.label is not Label.REJECT:
+                greedy_explanation(problem)
+        assert [_problem_fields(p) for p in problems] == before
+
+    def test_bad_rows_are_refused(self, band_case):
+        clf, _ = band_case
+        with pytest.raises(ValueError, match="^instance has 3 values but model expects 2$"):
+            next(model_module.cover_problems(clf, np.full((4, 3), 0.5)))
+        with pytest.raises(ValueError, match="^rows must be a 2-d matrix$"):
+            next(model_module.cover_problems(clf, np.full(2, 0.5)))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.full((4, 2), 0.5)
+            X[2, 1] = bad
+            with pytest.raises(ValueError, match="^instance values must be finite$"):
+                list(model_module.cover_problems(clf, X))
 
 
 class TestScoreBounds:

@@ -423,3 +423,32 @@ def test_single_view_never_worse_than_two_views(cases):
         assert new.objective <= old.objective
         assert new.optimal or not old.optimal
         assert problem.holds(new.selected)
+
+
+def test_root_bound_zero_returns_the_active_set_without_a_fill(monkeypatch):
+    # A band narrower than every gain: freeing any active feature breaks it,
+    # so the root bound is 0 and the answer is every active feature, which
+    # the solver has checked before its search.  No first-fit fill runs.
+    def no_fill(*args):
+        raise AssertionError("first-fit fill with a root bound of 0")
+
+    monkeypatch.setattr(rejected, "_first_fit", no_fill)
+    rng = np.random.default_rng(435)
+    for n in (1, 2, 7, 30, 200):
+        w = rng.uniform(-1.0, 1.0, n)
+        w[rng.random(n) < 0.2] = 0.0  # inactive features stay free
+        x = rng.uniform(0.1, 0.9, n)
+        model = LinearModel(w, 0.0, unit_box(n))
+        s = float(np.sum(w * x))
+        gap = 0.005 * float(np.abs(w[w != 0.0]).min(initial=1.0))  # every active gain is 20 times more
+        clf = RejectClassifier(model, s - gap, s + gap)
+        problem = cover_problem(clf, Instance.validated(model, x)).expect(ExplanationKind.REJECTION)
+        new = rejected.solve_rejection_ilp(problem)
+        old = two_view_rejected.solve_rejection_ilp(problem)
+        active = np.flatnonzero(w != 0.0)
+        np.testing.assert_array_equal(new.selected, active)
+        np.testing.assert_array_equal(old.selected, active)
+        assert (new.objective, new.optimal, new.nodes_explored, new.lower_bound) == (
+            active.size, True, 0, active.size,
+        )
+        assert (old.objective, old.optimal) == (new.objective, new.optimal)
