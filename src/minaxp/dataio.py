@@ -73,7 +73,11 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _normalize_labels(raw: np.ndarray, column: str) -> np.ndarray:
+def _normalize_labels(raw: np.ndarray, column: str, path: Path) -> np.ndarray:
+    finite = np.isfinite(raw)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: non-finite label value {raw[row]} at row {row + 2}, column {column!r}")
     values = sorted(set(raw.tolist()))
     if len(values) > 2:
         raise ValueError(
@@ -86,8 +90,53 @@ def _normalize_labels(raw: np.ndarray, column: str) -> np.ndarray:
     return out.astype(int)
 
 
+# Separators numpy's reader strips from a cell as whitespace and ``float()`` refuses.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _body_lines(fh):
+    """The lines of ``fh`` for numpy's reader, which fails on a line holding
+    one of ``_NUMPY_ONLY_SPACES`` and on a body of line ends only (the
+    input it would warn about)."""
+    blank = True
+    for line in fh:
+        if any(c in line for c in _NUMPY_ONLY_SPACES):
+            raise ValueError("a cell only numpy reads as spaced")
+        blank = blank and not line.strip("\r\n")
+        yield line
+    if blank:
+        raise ValueError("no data rows")
+
+
 def _read_numeric_table(path: Path, delimiter: str) -> tuple[list[str], np.ndarray]:
-    """Header and float matrix of a delimited file, parsed row by row.
+    """Header and float matrix of a delimited file.
+
+    The header goes through ``csv``; the body through numpy's C reader on the
+    same handle.  Its matrix is kept only when it parsed without error, has a
+    row and has the header's width.  Otherwise :func:`_read_rows` parses the
+    file again, so every error, and every cell that only Python ``float()``
+    takes (digit underscores, non-ASCII digits), comes from there; so does
+    every file that holds one of ``_NUMPY_ONLY_SPACES``.  Where both readers
+    give a matrix, they give the same bits.  An error of the ``csv`` module
+    is raised as a ``ValueError`` naming the file.
+    """
+    with path.open(newline="") as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh, delimiter=delimiter), [])]
+            matrix = np.loadtxt(_body_lines(fh), delimiter=delimiter, comments=None,
+                                quotechar='"', ndmin=2, dtype=float)
+        except (ValueError, TypeError, csv.Error):
+            matrix = None
+    if matrix is not None and matrix.shape[0] and matrix.shape[1] == len(header):
+        return header, matrix
+    try:
+        return _read_rows(path, delimiter)
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_rows(path: Path, delimiter: str) -> tuple[list[str], np.ndarray]:
+    """:func:`_read_numeric_table` parsed row by row.
 
     Cells go through Python ``float()``, so surrounding whitespace, ``nan``
     and digit underscores behave as they do there.  Blank lines are skipped.
@@ -160,7 +209,7 @@ def load_dataset(
         raise ValueError(f"{path}: label column index {label_column} out of range")
 
     features = np.delete(matrix, label_idx, axis=1)
-    labels = _normalize_labels(matrix[:, label_idx], header[label_idx])
+    labels = _normalize_labels(matrix[:, label_idx], header[label_idx], path)
 
     if scaling is not None:
         features = scaling.transform(features)

@@ -1,5 +1,9 @@
+import collections
+
 import numpy as np
 
+import deletion_reference
+from conftest import BOUNDARY_CASES, boundary_case
 from minaxp import (
     DEFAULT_EPSILON,
     Explanation,
@@ -15,6 +19,7 @@ from minaxp import (
     is_valid_explanation,
     predict,
     random_case,
+    score,
     solve_rejection_ilp,
     unit_box,
 )
@@ -129,3 +134,101 @@ def test_matches_the_per_index_reference_walk():
         assert predict(clf, instance).label is label
         explanation = _baseline(clf, instance)
         assert explanation.indices == _reference_deletion(clf, instance)
+
+
+def _threshold(limit, sign):
+    """A threshold t with ``t + sign * DEFAULT_EPSILON == limit`` exactly, or
+    None; the deletion walk compares its sums with that rounded limit."""
+    t = limit - sign * DEFAULT_EPSILON
+    for _ in range(8):
+        bound = t + sign * DEFAULT_EPSILON
+        if bound == limit:
+            return t
+        t = float(np.nextafter(t, np.inf if bound < limit else -np.inf))
+    return None
+
+
+def _walk_case(rng, n, label, grid):
+    """A row of ``label`` whose slack is a random share of its gains.  With
+    ``grid``, weights are multiples of 0.5 (zero included) and values quarter
+    steps, so gains tie, many are zero, and every sum is exact: the slack is
+    then the sum of a random prefix of the gains, and the walk's running sum
+    meets its limit exactly."""
+    if grid:
+        weights = rng.integers(-2, 3, n) * 0.5
+        values = rng.integers(0, 5, n) * 0.25
+    else:
+        weights = rng.uniform(-1.0, 1.0, n)
+        values = rng.uniform(0.0, 1.0, n)
+    model = LinearModel(weights, 0.0, unit_box(n))
+    instance = Instance.validated(model, values)
+    s = score(model, instance)
+    gain_up = np.maximum(weights, 0.0) - weights * values
+    gain_down = weights * values - np.minimum(weights, 0.0)
+    if grid:
+        k_up, k_down = rng.integers(0, n + 1, 2)
+        up, down = float(gain_up[:k_up].sum()), float(gain_down[:k_down].sum())
+    else:
+        low, high = rng.uniform(0.0, 1.0, 2) ** 2
+        up, down = high * float(gain_up.sum()), low * float(gain_down.sum())
+    margin = 1.0 + abs(s)
+    if label is Label.POSITIVE:
+        t_plus = _threshold(s - down, -1) if grid else s - down
+        t_minus = None if t_plus is None else t_plus - margin
+    elif label is Label.NEGATIVE:
+        t_minus = _threshold(s + up, 1) if grid else s + up
+        t_plus = None if t_minus is None else t_minus + margin
+    else:
+        t_minus = _threshold(s - down - 0.25, -1) if grid else s - down - 0.25
+        t_plus = _threshold(s + up + 0.25, 1) if grid else s + up + 0.25
+    if t_minus is None or t_plus is None:
+        return None
+    return RejectClassifier(model, t_minus, t_plus), instance
+
+
+def test_first_fit_keeps_the_frozen_walks_sets():
+    # The numpy first fit against the scalar walk it replaced, from one
+    # feature to past the widest benchmark row, for every label; the widths
+    # around 64 cross between its numpy rounds and its scalar tail.
+    rng = np.random.default_rng(29)
+    widths = (1, 2, 3, 7, 30, 63, 64, 65, 66, 130, 200, 1000, 4096, 20_000)
+    labels = collections.Counter()
+    for n in widths:
+        for i in range(12 if n <= 1000 else 3):
+            case = _walk_case(rng, n, (Label.POSITIVE, Label.NEGATIVE, Label.REJECT)[i % 3], i % 2 == 0)
+            if case is None:
+                continue
+            problem = cover_problem(*case)
+            labels[problem.label] += 1
+            new, old = deletion_explanation(problem), deletion_reference.deletion_explanation(problem)
+            assert np.array_equal(new.index_array, old.index_array), (n, i, problem.label)
+            assert new.kind is old.kind and not new.certified_minimum
+    assert min(labels[label] for label in Label) >= 30, labels
+
+
+def test_first_fit_keeps_the_frozen_walks_sets_on_threshold_rows():
+    rng = np.random.default_rng(37)
+    for i in range(400):
+        clf, instance = boundary_case(rng, i % 4)
+        problem = cover_problem(clf, instance)
+        assert np.array_equal(
+            deletion_explanation(problem).index_array,
+            deletion_reference.deletion_explanation(problem).index_array,
+        ), (i, BOUNDARY_CASES[i % 4])
+
+
+def test_first_fit_keeps_the_frozen_walks_sets_past_its_round_limit():
+    # Gains 1, b_0, 1, b_1, ... with b_j half a unit above what is left once
+    # j + 1 ones are dropped: each numpy round drops one 1 and keeps one b,
+    # so the walk runs out of rounds and finishes one feature at a time.
+    m = 2000
+    weights = np.ones(2 * m)
+    weights[1::2] = m + 0.25 - np.arange(m)
+    model = LinearModel(weights, 0.0, unit_box(2 * m))
+    instance = Instance(np.ones(2 * m))
+    t_plus = float(weights.sum()) - (m + 0.75) + DEFAULT_EPSILON
+    problem = cover_problem(RejectClassifier(model, t_plus - 1.0, t_plus), instance)
+    assert problem.label is Label.POSITIVE
+    new = deletion_explanation(problem)
+    assert np.array_equal(new.index_array, deletion_reference.deletion_explanation(problem).index_array)
+    assert new.indices == tuple(range(1, 2 * m, 2))

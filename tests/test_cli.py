@@ -699,6 +699,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert not p["calibrated"].exists()
 
+    @pytest.mark.parametrize(
+        "labels", [{3: "inf"}, {6: "nan"}, {2: "nan", 5: "-inf", 9: "nan"}], ids=["inf", "nan", "several"]
+    )
+    @pytest.mark.parametrize("command", ["train", "calibrate", "explain"])
+    def test_non_finite_label_cell_is_input_error(self, pipeline_paths, capsys, command, labels):
+        # Such cells used to be read as a class: {1, inf} as two, a single
+        # nan turning every label into -1.
+        p = pipeline_paths
+        assert run_train(p) == 0 and run_calibrate(p) == 0
+        data = {"train": p["data"], "calibrate": p["train"], "explain": p["test"]}[command]
+        lines = data.read_text().splitlines()
+        for row, value in labels.items():
+            lines[row - 1] = ",".join(lines[row - 1].split(",")[:-1] + [value])
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = p["tmp"] / "out"
+        argv = {
+            "train": ["train", "--data", str(data), "--out-model", str(out)],
+            "calibrate": ["calibrate", "--model", str(p["model"]), "--data", str(data),
+                          "--out-model", str(out)],
+            "explain": ["explain", "--model", str(p["calibrated"]), "--data", str(data),
+                        "--out-report", str(out)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+        row, value = min(labels.items())
+        message = f"error: {data}: non-finite label value {value} at row {row}, column 'label'\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", [";;", ""], ids=["two", "empty"])
     @pytest.mark.parametrize(
         "command, args",

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -20,6 +21,7 @@ from minaxp import (
     unit_box,
     write_explanation_report,
 )
+from minaxp import dataio
 from minaxp.dataio import load_feature_matrix
 
 from conftest import write_csv
@@ -159,12 +161,140 @@ class TestDataset:
         assert names == ("a", "b", "label")
         np.testing.assert_array_equal(matrix, [[0.5, 10.0, 1.0], [np.nan, -0.002, -1.0]])
 
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_csv_error_is_a_value_error(self, tmp_path, where):
+        # An unclosed quote runs the cell past csv's field size limit.
+        path = tmp_path / "quote.csv"
+        rows = "0.5,1\n" * 30_000
+        path.write_text('"a,label\n' + rows if where == "header" else 'a,label\n"1,1\n' + rows)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: field larger than field limit (131072)"
+
     def test_header_only_file_has_no_data_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,label\n\n")
         with pytest.raises(ValueError) as info:
             load_dataset(path)
         assert str(info.value) == f"{path}: no data rows"
+
+
+# (file text, delimiter) pairs on which numpy's C reader and the row-by-row
+# reader must agree: the same matrix, or the same error.
+_PARSE_CORPUS = {
+    "plain": ("a,b\n1,2.5\n-3e-2,4\n", ","),
+    "blank lines": ("a,b\n\n1,2\n\n\n3,4\n\n", ","),
+    "whitespace line": ("a,b\n1,2\n   \n3,4\n", ","),
+    "tab line": ("a,b\n1,2\n\t\n", ","),
+    "delimiters only": ("a,b\n1,2\n,\n3,4\n", ","),
+    "spaced delimiters only": ("a,b,c\n1,2,3\n , , \n", ","),
+    "form feed line": ("a,b\n1,2\n\x0c\n", ","),
+    "CR": ("a,b\r1,2\r3,4\r", ","),
+    "CRLF": ("a,b\r\n1,2\r\n3,4\r\n", ","),
+    "CR then CRLF": ("a,b\n1,2\r\r\n3,4", ","),
+    "no final newline": ("a,b\n1,2\n3,4", ","),
+    "spaced cells": ("a,b\n 1 ,\t2\t\n", ","),
+    "unicode spaces": ("a,b\n\xa01,2\u2003\n", ","),
+    "file separators": ("a,b\n1\x1c,2\n", ","),
+    "unit separator": ("a,b\n1,\x1f2\n", ","),
+    "quoted cells": ('a,b\n"1","2.5"\n', ","),
+    "quoted then spaces": ('a,b\n1,"2"  \n', ","),
+    "spaces then quoted": ('a,b\n1,  "2"\n', ","),
+    "quote after digits": ('a,b\n1"2",3\n', ","),
+    "digits after quote": ('a,b\n"1"2,3\n', ","),
+    "escaped quote": ('a,b\n1,"2""3"\n', ","),
+    "empty quoted": ('a,b\n1,""\n', ","),
+    "quote cell": ('a,b\n1,""""\n', ","),
+    "escaped quote in header": ('"a""x",b\n1,2\n', ","),
+    "quoted header with newline": ('"a\nb",c\n1,2\n', ","),
+    "quoted cell with newline": ('a,b\n"1\n",2\n', ","),
+    "quoted delimiter": ('a,b\n"1,5",2\n', ","),
+    "digit underscore": ("a,b\n1_0,2\n", ","),
+    "arabic-indic digits": ("a,b\n\u0661\u0662,2\n", ","),
+    "BOM": ("\ufeffa,b\n1,2\n", ","),
+    "BOM in body": ("a,b\n\ufeff1,2\n", ","),
+    "NUL": ("a,b\n1,2\x00\n", ","),
+    "hash": ("a,b\n#1,2\n", ","),
+    "trailing hash": ("a,b\n1,2#\n", ","),
+    "non-finite": ("a,b\nnan,-inf\nInfinity,1e500\n-nan,+inf\n", ","),
+    "hex": ("a,b\n0x10,2\n", ","),
+    "trailing delimiter": ("a,b\n1,2,\n", ","),
+    "trailing delimiter in header too": ("a,b,\n1,2,\n", ","),
+    "short row": ("a,b\n1,2\n3\n", ","),
+    "long row": ("a,b\n1,2\n3,4,5\n", ","),
+    "every row long": ("a,b\n1,2,3\n4,5,6\n", ","),
+    "every row short": ("a,b,c\n1,2\n4,5\n", ","),
+    "header only": ("a,b\n", ","),
+    "header and line ends": ("a,b\n\n\r\n\r", ","),
+    "empty file": ("", ","),
+    "one column": ("a\n1\n2\n", ","),
+    "one column, blank lines": ("a\n1\n\n  \n2\n", ","),
+    "semicolon": ("a;b\n1;2\n3,5;4\n", ";"),
+    "semicolon file read with comma": ("a;b\n1;2\n", ","),
+    "tab": ("a\tb\n1\t2\n", "\t"),
+    "space": ("a b\n1 2\n", " "),
+    "double space": ("a b\n1  2\n", " "),
+    "quote delimiter": ('a"b\n1"2\n', '"'),
+}
+
+
+def _parse_outcome(read, path, delimiter):
+    try:
+        header, matrix = read(path, delimiter)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return header, matrix.shape, matrix.view(np.uint64).tolist()
+
+
+class TestParsePaths:
+    """``_read_numeric_table`` keeps numpy's matrix only where it equals, bit
+    for bit, what the row-by-row reader gives; everything else is the row
+    reader's."""
+
+    @pytest.mark.parametrize("name", list(_PARSE_CORPUS))
+    def test_both_readers_agree(self, tmp_path, name):
+        text, delimiter = _PARSE_CORPUS[name]
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _parse_outcome(dataio._read_numeric_table, path, delimiter)
+        assert fast == _parse_outcome(dataio._read_rows, path, delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    def test_repr_floats_take_the_c_reader_with_float_bits(self, tmp_path, monkeypatch, delimiter):
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2**64, (60, 9), dtype=np.uint64).view(float)
+        X = np.where(np.isfinite(bits), bits, rng.normal(size=bits.shape) * 1e-300)
+        X[:, 0] = rng.uniform(-1.0, 1.0, X.shape[0])
+        path = tmp_path / "floats.csv"
+        lines = [delimiter.join(f"c{j}" for j in range(X.shape[1]))]
+        lines += [delimiter.join(map(repr, row)) for row in X.tolist()]
+        path.write_text("\r\n".join(lines) + "\r\n")
+
+        def no_fallback(*_):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(dataio, "_read_rows", no_fallback)
+        header, matrix = dataio._read_numeric_table(path, delimiter)
+        assert header == [f"c{j}" for j in range(X.shape[1])]
+        assert matrix.flags.c_contiguous
+        assert np.array_equal(matrix.view(np.uint64), X.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["digit underscore", "arabic-indic digits", "file separators"])
+    def test_cells_only_float_reads_fall_back(self, tmp_path, monkeypatch, name):
+        text, delimiter = _PARSE_CORPUS[name]
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(text.encode("utf-8"))
+        calls = []
+        read_rows = dataio._read_rows
+        monkeypatch.setattr(dataio, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+        if name == "file separators":  # numpy strips U+001C as a space; float() refuses it
+            with pytest.raises(ValueError) as info:
+                dataio._read_numeric_table(path, delimiter)
+            assert str(info.value) == f"{path}: non-numeric cell '1\\x1c' at row 2, column 'a'"
+        else:
+            _, matrix = dataio._read_numeric_table(path, delimiter)
+            assert matrix.tolist() == [[10.0 if name == "digit underscore" else 12.0, 2.0]]
+        assert calls == [(path, delimiter)]
 
 
 _BAND_MODEL = {
