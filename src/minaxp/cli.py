@@ -257,7 +257,7 @@ def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]
             continue
         for same in zip(*runs):
             median = statistics.median(record.time_ms for record in same)
-            records.append(dataclasses.replace(same[0], time_ms=median))
+            records.append(dataclasses.replace(same[0], indices=same[0].index_array, time_ms=median))
     return records, skipped
 
 

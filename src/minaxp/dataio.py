@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .model import LinearModel, RejectClassifier
+from .model import LinearModel, RejectClassifier, _as_index_array
 
 class ModelFormatError(ValueError):
     """A model file is missing fields or violates an invariant."""
@@ -179,6 +182,24 @@ def load_feature_matrix(path, delimiter: str = ",") -> tuple[np.ndarray, tuple[s
     return matrix, tuple(header)
 
 
+# The most bytes of rows ``_drop_last_column`` moves in one step.
+_PACK_BYTES = 1 << 20
+
+
+def _drop_last_column(matrix: np.ndarray) -> np.ndarray:
+    """``matrix[:, :-1]`` as a C-ordered matrix in ``matrix``'s own buffer,
+    which it overwrites: each block of rows moves down over the cells of the
+    column dropped before it.  No block's destination reaches a later row's
+    cells, and numpy buffers a block whose source and destination overlap.
+    """
+    m, width = matrix.shape
+    packed = matrix.reshape(-1)[: m * (width - 1)].reshape(m, width - 1)
+    step = max(1, _PACK_BYTES // (matrix.itemsize * width))
+    for start in range(0, m, step):
+        packed[start : start + step] = matrix[start : start + step, :-1]
+    return packed
+
+
 def load_dataset(
     path,
     delimiter: str = ",",
@@ -208,8 +229,11 @@ def load_dataset(
     if not 0 <= label_idx < len(header):
         raise ValueError(f"{path}: label column index {label_column} out of range")
 
-    features = np.delete(matrix, label_idx, axis=1)
     labels = _normalize_labels(matrix[:, label_idx], header[label_idx], path)
+    if label_idx == len(header) - 1:
+        features = _drop_last_column(matrix)
+    else:
+        features = np.delete(matrix, label_idx, axis=1)
 
     if scaling is not None:
         features = scaling.transform(features)
@@ -322,6 +346,26 @@ def load_model(path) -> ModelBundle:
     return ModelBundle(model=model, t_minus=t_minus, t_plus=t_plus, scaling=scaling)
 
 
+class _IndexField:
+    """:attr:`ExplanationRecord.indices`: kept as the intp array it is given
+    (or made from a tuple or list of integers), read as a tuple of Python
+    ints.  The first read builds the tuple and keeps it in the array's place,
+    so a record's equality, hash and ``repr`` read a tuple, and ``vars()``
+    holds the fields alone; the report writer reads
+    :attr:`ExplanationRecord.index_array`."""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError("indices has no default")  # so the field is required
+        value = record.__dict__["indices"]
+        if isinstance(value, np.ndarray):
+            value = record.__dict__["indices"] = tuple(value.tolist())
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__["indices"] = _as_index_array(value)
+
+
 @dataclass(frozen=True)
 class ExplanationRecord:
     """One explained instance, as written to a report."""
@@ -330,13 +374,20 @@ class ExplanationRecord:
     label: str
     score: float
     kind: str
-    indices: tuple[int, ...]
+    indices: tuple[int, ...] = _IndexField()
     size: int
     certified_minimum: bool
     method: str  # "minabro" or "baseline"
     time_ms: float
     nodes: int | None = None
     boundary_tight: bool = False
+
+    @property
+    def index_array(self) -> np.ndarray:
+        """The indices as an intp array, without building their tuple (made
+        again from the tuple once that has been read)."""
+        value = self.__dict__["indices"]
+        return value if isinstance(value, np.ndarray) else np.array(value, dtype=np.intp)
 
 
 REPORT_RECORD_FIELDS = tuple(field.name for field in fields(ExplanationRecord))
@@ -376,23 +427,95 @@ def aggregate_records(records: list[ExplanationRecord]) -> dict:
     return groups
 
 
+# The fields a report line writes with ``_json_column``, and the line's
+# template: its arguments are those fields' texts, then the index list.
+_SCALAR_FIELDS = tuple(name for name in REPORT_RECORD_FIELDS if name != "indices")
+_scalar_values = operator.attrgetter(*_SCALAR_FIELDS)
+_LINE_ARGUMENTS = _SCALAR_FIELDS + ("indices",)
+_RECORD_LINE = "{{" + ", ".join(
+    f"{json.dumps(name)}: {{{_LINE_ARGUMENTS.index(name)}}}" for name in REPORT_RECORD_FIELDS
+) + "}}\n"
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_column(values: tuple) -> list[str]:
+    """``json.dumps`` of each value of one field.  A column of strings, of
+    finite floats, or of ints, bools and None is written in one pass without
+    ``json.dumps``'s per-call set-up; any other goes through it, so a value
+    it refuses is still refused."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {float} and all(map(math.isfinite, values)):  # json writes NaN and Infinity itself
+        return list(map(float.__repr__, values))
+    if kinds <= {int, bool, type(None)}:
+        return [int.__repr__(v) if type(v) is int else _JSON_CONSTANTS[v] for v in values]
+    return list(map(json.dumps, values))
+
+
+# The most records whose scalar fields are encoded, and their texts held, at once.
+_WRITE_CHUNK = 128
+
+
+# The widest index ``_IndexLists`` looks up in its table; wider ones are
+# written one ``str`` at a time.
+_INDEX_TABLE_LIMIT = 1 << 18
+
+
+class _IndexLists:
+    """Index arrays as ``json.dumps`` writes a list of their values, each
+    value's decimal taken from one table instead of made anew.
+
+    The table holds ``str(j)`` at each position ``j < size`` and None at the
+    ``size`` positions after.  An index outside ``range(size)``, a negative
+    one included, then reads None or lies past the end, and the lookup or
+    the join fails.  The table then grows, at least doubling, to the widest
+    index seen, up to ``_INDEX_TABLE_LIMIT``; an array it cannot hold (a
+    negative or wider index) is written one ``str`` at a time.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.table = np.empty(0, dtype=object)
+
+    def __call__(self, idx: np.ndarray) -> str:
+        try:
+            return "[" + ", ".join(self.table[idx].tolist()) + "]"
+        except (IndexError, TypeError):
+            pass
+        need = int(idx.max()) + 1
+        if idx.min() < 0 or need > _INDEX_TABLE_LIMIT:
+            return "[" + ", ".join(map(str, idx.tolist())) + "]"
+        self.size = min(max(2 * self.size, need), _INDEX_TABLE_LIMIT)
+        self.table = np.array(list(map(str, range(self.size))) + [None] * self.size, dtype=object)
+        return self(idx)
+
+
 def write_explanation_report(
     records: list[ExplanationRecord],
     path,
     skipped_out_of_domain: int = 0,
     note: str | None = None,
 ) -> None:
-    """Write one JSON record per line plus a trailing aggregate object."""
+    """Write one JSON record per line plus a trailing aggregate object.
+
+    Each record line has the bytes of ``json.dumps`` of its fields in field
+    order; the index list is written from the record's index array.
+    """
     aggregate = {
         "by_group": aggregate_records(records),
         "skipped_out_of_domain": skipped_out_of_domain,
     }
     if note is not None:
         aggregate["note"] = note
+    index_list = _IndexLists()
     with Path(path).open("w") as fh:
-        for record in records:
-            payload = {field: getattr(record, field) for field in REPORT_RECORD_FIELDS}
-            fh.write(json.dumps(payload) + "\n")
+        for start in range(0, len(records), _WRITE_CHUNK):
+            chunk = records[start : start + _WRITE_CHUNK]
+            columns = [_json_column(column) for column in zip(*map(_scalar_values, chunk))]
+            fh.writelines(map(
+                _RECORD_LINE.format, *columns, (index_list(record.index_array) for record in chunk)
+            ))
         fh.write(json.dumps({"aggregate": aggregate}) + "\n")
 
 
@@ -407,7 +530,6 @@ def read_explanation_report(path) -> tuple[list[ExplanationRecord], dict]:
         if "aggregate" in payload:
             aggregate = payload["aggregate"]
             continue
-        payload["indices"] = tuple(payload["indices"])
         records.append(ExplanationRecord(**payload))
     if aggregate is None:
         raise ValueError(f"{path}: report is missing its aggregate line")

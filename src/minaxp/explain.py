@@ -66,7 +66,7 @@ def explain_instance(
             )
         records.append(ExplanationRecord(
             instance_id, problem.label.value, problem.score, explanation.kind.value,
-            explanation.indices, explanation.size, explanation.certified_minimum, name,
+            explanation.index_array, explanation.size, explanation.certified_minimum, name,
             elapsed_ms, nodes, tight,
         ))
     return records

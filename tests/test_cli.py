@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import minaxp.cli as cli
+import minaxp.dataio as dataio
 import minaxp.model as model_module
 from minaxp import (
     DomainError,
@@ -294,6 +295,39 @@ class TestExplainInputs:
         json_records, csv_records = _rows_both_ways(wide_model, wide_data, tmp_path)
         assert len(csv_records) == 4
         assert json_records == csv_records
+
+
+    @pytest.mark.parametrize("scale", ["--scale", "--no-scale"])
+    @pytest.mark.parametrize("pack_bytes", [40, 1 << 20])
+    def test_label_column_position_changes_no_bit(self, pipeline_paths, tmp_path, capsys, monkeypatch,
+                                                  scale, pack_bytes):
+        # load_dataset packs the features of a last label column in place and
+        # copies them out of any other: train and calibrate read the same
+        # bits either way, and explain reads them from a label-free copy too.
+        monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
+        p = pipeline_paths
+        rows = [line.split(",") for line in p["data"].read_text().splitlines()]
+        first, plain = tmp_path / "first.csv", tmp_path / "plain.csv"
+        first.write_text("".join(",".join(row[-1:] + row[:-1]) + "\n" for row in rows))
+        plain.write_text("".join(",".join(row[:-1]) + "\n" for row in rows))
+        outputs = []
+        for data, label_col in ((p["data"], []), (first, ["--label-col", "0"])):
+            model, calibrated = tmp_path / "model.json", tmp_path / "calibrated.json"
+            capsys.readouterr()
+            common = ["--data", str(data), *label_col]
+            assert cli.main(["train", *common, scale, "--out-model", str(model)]) == 0
+            assert cli.main(["calibrate", *common, "--model", str(model), "--out-model", str(calibrated)]) == 0
+            outputs.append((capsys.readouterr().out, model.read_bytes(), calibrated.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "rejection rate" in outputs[0][0]
+        reports = []
+        for data, label_col in ((p["data"], []), (first, ["--label-col", "0"]), (plain, ["--label-col", "none"])):
+            report = tmp_path / "report.jsonl"
+            argv = ["explain", "--model", str(calibrated), "--data", str(data), *label_col, "--method", "both"]
+            assert cli.main(argv + ["--out-report", str(report)]) == 0
+            reports.append([dataclasses.replace(r, time_ms=0.0) for r in read_explanation_report(report)[0]])
+        assert reports[0] == reports[1] == reports[2]
+        assert {r.label for r in reports[0]} == {"POSITIVE", "NEGATIVE", "REJECT"}
 
 
 def _rows_both_ways(model, data, tmp_path):

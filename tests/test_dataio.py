@@ -119,6 +119,35 @@ class TestDataset:
             np.testing.assert_array_equal(data.features, [[0.1, 0.2, -1], [0.3, 0.4, 1]])
             assert data.feature_names == ("a", "b", "q")
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 1), (7, 2), (40, 5), (33, 129)])
+    @pytest.mark.parametrize("pack_bytes", [1, 64, 200, 1 << 20])
+    def test_last_column_dropped_in_place(self, monkeypatch, shape, pack_bytes):
+        # Small steps move one row at a time over its own source; large ones
+        # move blocks whose source and destination overlap.
+        monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
+        matrix = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+        expected = matrix[:, :-1].copy()
+        features = dataio._drop_last_column(matrix)
+        assert features.flags.c_contiguous
+        assert features.size == 0 or np.shares_memory(features, matrix)
+        assert features.shape == expected.shape
+        assert features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("pack_bytes", [48, 1 << 20])
+    def test_label_last_matches_label_first(self, tmp_path, monkeypatch, pack_bytes):
+        monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(50, 6)), np.where(rng.random(50) < 0.5, 3.0, 7.0)
+        last, first = tmp_path / "last.csv", tmp_path / "first.csv"
+        write_csv(last, X, y)
+        lines = [",".join(["label"] + [f"f{i}" for i in range(6)])]
+        lines += [",".join(map(repr, [label, *row])) for label, row in zip(y.tolist(), X.tolist())]
+        first.write_text("\n".join(lines) + "\n")
+        by_last = load_dataset(last)
+        by_first = load_dataset(first, label_column=0)
+        assert by_last.features.tobytes() == by_first.features.tobytes() == X.tobytes()
+        assert by_last.labels.tolist() == np.where(y == 7.0, 1, -1).tolist()
+
     def test_feature_matrix_loader(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n0.5,0.25\n")
