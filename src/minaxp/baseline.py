@@ -108,3 +108,43 @@ def deletion_explanation(problem: CoverProblem) -> Explanation:
         sides = [up, down]
     kept = _first_fit(sides)
     return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
+
+
+def first_fit_columns(start: np.ndarray, gains: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The features a first fit in index order drops from each of ``r`` rows
+    at once, as an ``(r, n)`` mask.  ``start`` and ``caps`` are ``(2, r)``:
+    each row's two running sums start at ``start`` and must stay at or below
+    ``caps``; ``gains`` is ``(r, 2, n)``, each row's two gain rows.
+
+    The walk goes over the columns with one running sum per row and side, so
+    each row makes the comparisons and additions its own scalar walk makes.
+    """
+    running, candidate = start.copy(), np.empty_like(start)
+    inside = np.empty(start.shape, dtype=bool)
+    rows, n = start.shape[1], gains.shape[2]
+    fit = np.empty((n, rows), dtype=bool)
+    for j, column in enumerate(gains.transpose(2, 1, 0).copy()):
+        np.add(running, column, out=candidate)
+        np.less_equal(candidate, caps, out=inside)
+        np.logical_and(inside[0], inside[1], out=fit[j])
+        np.copyto(running, candidate, where=fit[j])
+    return fit.T
+
+
+def deletion_block(
+    gains: np.ndarray, scores: np.ndarray, ceilings: np.ndarray, floors: np.ndarray,
+) -> list[np.ndarray]:
+    """:func:`deletion_explanation`'s index set for each of ``r`` rows, given
+    their gains up and down as the ``(r, 2, n)`` array ``gains``, their
+    scores and their limits: :func:`first_fit_columns` over the sums and
+    caps each row's own walk uses.  A side with an infinite limit never
+    refuses a feature, so every label walks both.
+    """
+    kept = ~first_fit_columns(
+        np.stack((scores, -scores)),
+        gains,
+        np.stack((ceilings + DEFAULT_EPSILON, -(floors - DEFAULT_EPSILON))),
+    )
+    ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
+    columns = kept.nonzero()[1]
+    return [columns[start:end] for start, end in zip([0] + ends, ends)]

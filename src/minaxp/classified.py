@@ -58,3 +58,37 @@ def greedy_explanation(problem: CoverProblem) -> Explanation:
             mask[ties[k - chosen.size :]] = False
             chosen = mask.nonzero()[0]
     return Explanation(indices=chosen, kind=problem.kind, certified_minimum=True)
+
+
+def greedy_block(gains: np.ndarray, need: float) -> list[np.ndarray | None]:
+    """:func:`greedy_explanation`'s index set for each row of the ``(r, n)``
+    matrix ``gains``, every row against the same ``need``, with whole-matrix
+    operations: one row-wise sort, one row-wise running sum, one count.  A
+    row's sums are added in the order its own greedy adds them, so k and
+    the set are the ones it finds.  A row whose gains cannot cover ``need``
+    gets None, and its own greedy says why.
+    """
+    rows, n = gains.shape
+    if need <= DEFAULT_EPSILON:
+        return [np.empty(0, dtype=np.intp) for _ in range(rows)]
+    ascending = np.sort(gains, axis=1)
+    prefix_sums = np.add.accumulate(ascending[:, ::-1], axis=1)
+    # The running sums never fall, so the count below the need is the
+    # greedy's left-sided search.
+    k = np.count_nonzero(prefix_sums < need - DEFAULT_EPSILON, axis=1) + 1
+    covered = k <= n
+    kth = ascending[np.arange(rows), n - np.minimum(k, n)]
+    mask = gains >= kth[:, None]
+    mask[~covered] = False
+    counts = np.count_nonzero(mask, axis=1)
+    surplus = (counts > k).nonzero()[0]
+    if surplus.size:  # ties at the k-th value: keep the lowest-indexed
+        ties = gains[surplus] == kth[surplus, None]
+        keep = k[surplus] - counts[surplus] + np.count_nonzero(ties, axis=1)
+        mask[surplus] &= ~(ties & (np.cumsum(ties, axis=1) > keep[:, None]))
+    chosen = mask.nonzero()[1]
+    ends = np.cumsum(np.where(covered, k, 0)).tolist()
+    return [
+        chosen[end - size : end] if ok else None
+        for end, size, ok in zip(ends, k.tolist(), covered.tolist())
+    ]

@@ -30,8 +30,8 @@ from .dataio import (
     save_model,
     write_explanation_report,
 )
-from .explain import METHODS, explain_instance
-from .model import DEFAULT_EPSILON, DomainError, Instance, Label, cover_problems, score_from_products
+from .explain import METHODS, explain_block, explain_instance
+from .model import DEFAULT_EPSILON, DomainError, Instance, Label, cover_problem_blocks, score_from_products
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
 from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
@@ -228,36 +228,42 @@ def _check_limits(args) -> None:
 
 
 def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]:
-    """Explain every selected row ``repeats`` times over, from cover problems
-    built a block of rows at a time; with several repeats each record's
-    ``time_ms`` is the median of its repeats'.  Returns the records and the
-    number of out-of-domain rows skipped."""
+    """Explain every selected row ``repeats`` times over, a block of rows at
+    a time: ``explain_block`` settles what it can for the whole block, then
+    ``explain_instance`` makes each row's records.  With several repeats
+    each record's ``time_ms`` is the median of its repeats'.  Returns the
+    records and the number of out-of-domain rows skipped."""
     _check_limits(args)
     bundle = load_model(args.model)
     clf = bundle.classifier()
     records: list[ExplanationRecord] = []
     skipped = 0
-    for instance_id, problem in enumerate(cover_problems(clf, _instances_from_args(args, bundle))):
-        if problem is None:
-            skipped += 1
-            continue
-        runs = [
-            explain_instance(
-                clf,
-                problem,
-                instance_id,
-                method=args.method,
-                node_limit=args.node_limit,
-                time_limit=args.time_limit,
-            )
-            for _ in range(repeats)
-        ]
-        if repeats == 1:
-            records += runs[0]
-            continue
-        for same in zip(*runs):
-            median = statistics.median(record.time_ms for record in same)
-            records.append(dataclasses.replace(same[0], indices=same[0].index_array, time_ms=median))
+    first = 0
+    for block, problems in cover_problem_blocks(clf, _instances_from_args(args, bundle)):
+        settled = [explain_block(clf, block, problems, args.method) for _ in range(repeats)]
+        for instance_id, (problem, *found) in enumerate(zip(problems, *settled), first):
+            if problem is None:
+                skipped += 1
+                continue
+            runs = [
+                explain_instance(
+                    clf,
+                    problem,
+                    instance_id,
+                    method=args.method,
+                    node_limit=args.node_limit,
+                    time_limit=args.time_limit,
+                    settled=row,
+                )
+                for row in found
+            ]
+            if repeats == 1:
+                records += runs[0]
+                continue
+            for same in zip(*runs):
+                median = statistics.median(record.time_ms for record in same)
+                records.append(dataclasses.replace(same[0], indices=same[0].index_array, time_ms=median))
+        first += len(problems)
     return records, skipped
 
 

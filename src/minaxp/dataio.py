@@ -363,7 +363,10 @@ class _IndexField:
         return value
 
     def __set__(self, record, value):
-        record.__dict__["indices"] = _as_index_array(value)
+        # A flat intp array is what ``_as_index_array`` makes of one anyway.
+        if not (value.__class__ is np.ndarray and value.dtype == np.intp and value.ndim == 1):
+            value = _as_index_array(value)
+        record.__dict__["indices"] = value
 
 
 @dataclass(frozen=True)

@@ -356,7 +356,15 @@ class CoverProblem:
     def verdict(self, idx: np.ndarray) -> tuple[bool, bool]:
         """``(holds, tight)`` of pinning ``idx`` (sorted, unique, in range), from
         one bound pair: whether it forces the label, and whether a bound then
-        sits within the tolerance of its limit."""
+        sits within the tolerance of its limit.  A side with an infinite
+        limit always holds and is never tight, so an accepted label's
+        verdict reads its constrained side alone."""
+        if self.label is Label.POSITIVE:
+            smin = float(self.bottom + self.gain_down[idx].sum())
+            return smin >= self.floor - DEFAULT_EPSILON, abs(smin - self.floor) <= DEFAULT_EPSILON
+        if self.label is Label.NEGATIVE:
+            smax = float(self.top - self.gain_up[idx].sum())
+            return smax <= self.ceiling + DEFAULT_EPSILON, abs(smax - self.ceiling) <= DEFAULT_EPSILON
         smax, smin = self._bounds(idx)
         return (
             smax <= self.ceiling + DEFAULT_EPSILON and smin >= self.floor - DEFAULT_EPSILON,
@@ -396,11 +404,23 @@ _BLOCK_BYTES = 1 << 19
 def cover_problems(clf: RejectClassifier, rows) -> Iterator[CoverProblem | None]:
     """The cover problem of each row of the matrix ``rows``, bit for bit as
     :func:`cover_problem` builds it from that row alone, or None for a row
-    outside the model's domains.
+    outside the model's domains.  See :func:`cover_problem_blocks`.
+    """
+    for _, problems in cover_problem_blocks(clf, rows):
+        yield from problems
+
+
+def cover_problem_blocks(
+    clf: RejectClassifier, rows
+) -> Iterator[tuple[np.ndarray, list[CoverProblem | None]]]:
+    """The rows of the matrix ``rows`` a block at a time: each block's
+    ``(r, 4, n)`` array and the cover problem of each of its ``r`` rows, or
+    None for a row outside the model's domains.
 
     Blocks of rows are checked, multiplied, scored and given their gains with
     whole-block operations; each problem is a view of its own rows of its
-    block.  A width other than the model's or a non-finite value raises
+    block, so ``block[:, 0]`` and ``block[:, 1]`` hold the rows' gains up and
+    down.  A width other than the model's or a non-finite value raises
     ``ValueError``.
     """
     model = clf.model
@@ -424,8 +444,10 @@ def cover_problems(clf: RejectClassifier, rows) -> Iterator[CoverProblem | None]
             np.subtract(model.alpha_max, beta, block[:, 0])
             np.subtract(beta, model.alpha_min, block[:, 1])
             scores = score_from_products(beta, model.bias).tolist()
-        for row_block, s, out in zip(block, scores, outside):
-            yield None if out else _labelled(clf, s, row_block)
+        yield block, [
+            None if out else _labelled(clf, s, row_block)
+            for row_block, s, out in zip(block, scores, outside)
+        ]
 
 
 def _labelled(clf: RejectClassifier, s: float, block: np.ndarray) -> CoverProblem:

@@ -41,6 +41,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from .baseline import first_fit_columns
 from .model import DEFAULT_EPSILON, CoverProblem, ExplanationKind
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -147,7 +148,7 @@ def _first_fit(positions, up, down, cap_up, cap_down, holds) -> list[int]:
 
 
 def _search_pack(
-    problem, order, budget_up, budget_down, start, node_limit, time_limit, eps,
+    problem, order, budget_up, budget_down, start, node_limit, time_limit, eps, root=None,
 ) -> IlpSolution:
     """Best-first search over removed-feature sets.
 
@@ -159,7 +160,8 @@ def _search_pack(
     sequence, count, depth, spent_up, spent_down, removed), where
     ``removed`` is the last removed position linked to its parent's chain,
     ``(position, removed)``, or None.  Insertion order breaks bound ties,
-    with remove-children pushed first.
+    with remove-children pushed first.  ``root``, when given, is a
+    :class:`SearchRoot`'s root bound and fills, worked out for this order.
     """
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
@@ -172,10 +174,15 @@ def _search_pack(
 
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
-    root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
-    # With a root bound of 0 the answer is the active set, which already holds.
-    best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds) if root_ub else []
-    if len(best_removed) < root_ub:
+    if root is not None:
+        # Both fills fell short of the bound: the longer one that holds, the first on a tie.
+        root_ub, *fills = root
+        best_removed = max((fill for fill in fills if holds(fill)), key=len, default=[])
+    else:
+        root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
+        # With a root bound of 0 the answer is the active set, which already holds.
+        best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds) if root_ub else []
+    if root is None and len(best_removed) < root_ub:
         # A fill in the surrogate order, ties by ascending index, so that at
         # lam = 1 it does not repeat the first (ties by descending index).
         surrogate_order = np.lexsort((order, sums.values[3])).tolist()
@@ -232,10 +239,25 @@ def _search_pack(
     )
 
 
+@dataclass(frozen=True)
+class SearchRoot:
+    """The root of one row's search, as :func:`root_block` works it out: the
+    features in the branch order, the two slacks, the root bound and the
+    branch positions each fill frees (before their ``holds`` checks)."""
+
+    order: np.ndarray
+    budget_up: float
+    budget_down: float
+    bound: int
+    first: list[int]
+    second: list[int]
+
+
 def solve_rejection_ilp(
     problem: CoverProblem,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
+    root: SearchRoot | None = None,
 ) -> IlpSolution:
     """Exact best-first branch and bound over the binary pin variables of a
     rejected problem.
@@ -251,10 +273,17 @@ def solve_rejection_ilp(
     ``gain_up + gain_down`` first, ties by descending index, so that among
     equal costs the lower index stays pinned.  Its starting incumbent frees
     each feature of that order that still fits both slacks (first fit).
+    Given the ``root`` that :func:`root_block` found for this problem, the
+    search starts from it.
     """
     start = time.perf_counter()
     eps = DEFAULT_EPSILON
     problem.expect(ExplanationKind.REJECTION)
+    if root is not None:
+        return _search_pack(
+            problem, root.order, root.budget_up, root.budget_down, start, node_limit, time_limit, eps,
+            (root.bound, root.first, root.second),
+        )
     gain_up, gain_down = problem.gain_up, problem.gain_down
     need_up, need_down = problem.need_up, problem.need_down
 
@@ -276,3 +305,92 @@ def solve_rejection_ilp(
         start, node_limit, time_limit, eps,
     )
 
+
+def root_block(
+    gain_up: np.ndarray, gain_down: np.ndarray, top: float, bottom: float, ceiling: float, floor: float,
+) -> list[np.ndarray | SearchRoot | None]:
+    """The search's root for each row of the ``(r, n)`` gain matrices of
+    rejected problems that share ``top``, ``bottom`` and the band
+    ``[floor, ceiling]``, with whole-matrix operations.
+
+    Each row gets the set :func:`solve_rejection_ilp` certifies without
+    expanding a node: the active set when the root bound is 0, else the
+    first fill's pinned set when it meets the bound, else the second
+    fill's.  That set has yet to pass ``CoverProblem.holds``, as the
+    solver's fills do; if it fails, the row's own solver decides.  A row
+    that needs the search gets its :class:`SearchRoot`; one whose active
+    set fails ``holds`` or is not the first row's gets None.  Each step
+    adds, sorts and compares what the row's own solver does, so the
+    counts, sets and roots are its own.
+    """
+    eps = DEFAULT_EPSILON
+    rows = gain_up.shape[0]
+    need_up, need_down = top - ceiling, floor - bottom
+    if need_up <= eps and need_down <= eps:
+        return [np.empty(0, dtype=np.intp) for _ in range(rows)]
+    active_mask = (gain_up > 0.0) | (gain_down > 0.0)
+    active = active_mask[0].nonzero()[0]
+    m = active.size
+    # np.take gathers C-ordered rows, whose sums have each row's own bits.
+    up, down = np.take(gain_up, active, axis=1), np.take(gain_down, active, axis=1)
+    sum_up, sum_down = up.sum(axis=1), down.sum(axis=1)
+    open_rows = (
+        (active_mask == active_mask[0]).all(axis=1)
+        & (top - sum_up <= ceiling + eps) & (bottom + sum_down >= floor - eps)
+    )
+    budget_up, budget_down = sum_up - need_up, sum_down - need_down
+    lam = np.ones(rows)
+    np.divide(budget_up, budget_down, out=lam, where=(budget_up > 0.0) & (budget_down > 0.0))
+    cost, surrogate = up + down, up + lam[:, None] * down
+    # _TailSums at depth 0 and _pack_bound's four counts.
+    sums = np.stack((up, down, cost, surrogate), axis=1)
+    sums.sort(axis=2)
+    np.add.accumulate(sums, axis=2, out=sums)
+    limits = np.stack((
+        budget_up + eps, budget_down + eps, budget_up + budget_down + 2.0 * eps,
+        budget_up + lam * budget_down + (1.0 + lam) * eps,
+    ), axis=1)
+    root = np.count_nonzero(sums <= limits[:, :, None], axis=2).min(axis=1)
+    settled = open_rows & (root == 0)
+    pinned = np.zeros((rows, m), dtype=bool)
+    pinned[settled] = True
+    short = open_rows & (root > 0)
+    caps = np.stack((budget_up, budget_down)) + eps
+    # The fills: in the branch order (cost ascending, ties by descending
+    # index), then in the surrogate order (ties by ascending index).
+    branch = (m - 1) - np.argsort(cost[:, ::-1], axis=1, kind="stable")
+    freed_by = []
+    for second in (False, True):
+        fill = short.nonzero()[0]
+        if not fill.size:
+            break
+        order = np.argsort(surrogate[fill], axis=1, kind="stable") if second else branch[fill]
+        steps = np.stack(
+            (np.take_along_axis(up[fill], order, axis=1), np.take_along_axis(down[fill], order, axis=1)),
+            axis=1,
+        )
+        freed = first_fit_columns(np.zeros((2, fill.size)), steps, caps[:, fill])
+        met = np.count_nonzero(freed, axis=1) >= root[fill]
+        kept = np.ones((fill.size, m), dtype=bool)
+        np.put_along_axis(kept, order, ~freed, axis=1)
+        pinned[fill[met]] = kept[met]
+        settled[fill[met]] = True
+        short[fill[met]] = False
+        freed_by.append(np.zeros((rows, m), dtype=bool))
+        freed_by[-1][fill] = ~kept
+    # A row both fills left short starts its search from them.
+    searched = short.nonzero()[0]
+    roots = {}
+    if searched.size:
+        branch_position = np.argsort(branch[searched], axis=1)
+        orders = active[branch[searched]]
+        for k, i in enumerate(searched.tolist()):
+            first, second = (np.sort(branch_position[k][freed[i]]).tolist() for freed in freed_by)
+            roots[i] = SearchRoot(orders[k], float(budget_up[i]), float(budget_down[i]), int(root[i]),
+                                  first, second)
+    ends = np.cumsum(np.count_nonzero(pinned, axis=1)).tolist()
+    chosen = active[pinned.nonzero()[1]]
+    return [
+        chosen[start:end] if ok else roots.get(i)
+        for i, (start, end, ok) in enumerate(zip([0] + ends, ends, settled.tolist()))
+    ]

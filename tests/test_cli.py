@@ -490,6 +490,24 @@ class TestRowBlocks:
         explained = [r.instance_id for r in expected if r.method == "minabro"]
         assert calls == [i for i in explained for _ in range(2 if command == "benchmark" else 1)]
 
+    @pytest.mark.parametrize("command", ["explain", "benchmark"])
+    def test_one_explain_instance_call_per_row_and_repeat(self, tmp_path, monkeypatch, command):
+        # The block step settles rows before explain_instance runs, yet each
+        # explained row still costs one explain_instance call per repeat: a
+        # tracer that counts those calls counts the rows.
+        clf, X, model_path, data = self._files(tmp_path, n_rows=100)
+        calls, blocks = [], []
+        explain, explain_block = cli.explain_instance, cli.explain_block
+        monkeypatch.setattr(cli, "explain_instance", lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
+        monkeypatch.setattr(cli, "explain_block", lambda *a, **k: blocks.append(explain_block(*a, **k)) or blocks[-1])
+        argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
+                "--out-report", str(tmp_path / "report.jsonl")]
+        repeats = 2 if command == "benchmark" else 1
+        assert cli.main(argv + (["--repeats", "2"] if repeats == 2 else [])) == 0
+        explained = [i for i in range(100) if i not in (2, 3, 7)]
+        assert calls == [i for i in explained for _ in range(repeats)]
+        assert len(blocks) == repeats and sum(map(bool, blocks[0])) == len(explained)
+
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "constant-scaled-column"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["explain", "benchmark", "verify", "calibrate"])
