@@ -48,7 +48,6 @@ from .model import (
     Prediction,
     RejectClassifier,
     cover_problem,
-    cover_problems,
     is_valid_explanation,
     predict,
     score,
@@ -99,7 +98,6 @@ __all__ = [
     "calibrate_thresholds",
     "candidate_grid",
     "cover_problem",
-    "cover_problems",
     "deletion_explanation",
     "evaluate_risk",
     "explain_instance",

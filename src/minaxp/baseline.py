@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    DEFAULT_EPSILON,
-    CoverProblem,
-    Explanation,
-    Label,
-)
+from .model import DEFAULT_EPSILON, CoverProblem, Explanation
 
 
 # Candidates at most this many are walked one at a time: below it a numpy
@@ -33,6 +28,7 @@ def _first_fit(sides: list) -> np.ndarray:
     """Indices kept by a first fit in index order over ``sides``, each a
     ``(start, gains, cap)``: feature j is dropped when, on every side, the
     running sum from ``start`` plus ``gains[j]`` stays at or below ``cap``.
+    A side whose cap is infinite never refuses a feature and is skipped.
 
     Gains are non-negative, so a feature whose gain does not fit on its own
     never fits later.  Each round keeps the candidates that still fit on
@@ -42,6 +38,7 @@ def _first_fit(sides: list) -> np.ndarray:
     candidates, or all that are left after ``_MAX_ROUNDS`` rounds, are
     walked with the same additions in Python.
     """
+    sides = [side for side in sides if side[2] < np.inf]
     n = sides[0][1].size
     starts = [start for start, _, _ in sides]
     dropped = np.zeros(n, dtype=bool)
@@ -93,20 +90,14 @@ def deletion_explanation(problem: CoverProblem) -> Explanation:
     minimum by ``gain_down[j]``.  The walk is a first fit in index order
     (:func:`_first_fit`).  The minimum is walked negated: ``-s + g`` has the
     bits of ``-(s - g)``, so each comparison is the one a scalar walk makes.
-    A classified label walks only its constrained side; a rejection walks
-    both.  With every feature pinned both bounds collapse onto the score.
+    A side the label leaves free has an infinite cap, so a classified label
+    walks only its constrained side.  With every feature pinned both bounds
+    collapse onto the score.
     """
-    ceiling = problem.ceiling + DEFAULT_EPSILON
-    floor = problem.floor - DEFAULT_EPSILON
-    up = (problem.score, problem.gain_up, ceiling)
-    down = (-problem.score, problem.gain_down, -floor)
-    if problem.label is Label.POSITIVE:
-        sides = [down]
-    elif problem.label is Label.NEGATIVE:
-        sides = [up]
-    else:
-        sides = [up, down]
-    kept = _first_fit(sides)
+    kept = _first_fit([
+        (problem.score, problem.gain_up, problem.ceiling + DEFAULT_EPSILON),
+        (-problem.score, problem.gain_down, -(problem.floor - DEFAULT_EPSILON)),
+    ])
     return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
 
 

@@ -210,7 +210,10 @@ def _instances_from_args(args, bundle) -> np.ndarray:
             raise ValueError(
                 f"--instance-json: {len(payload)} values, but the model has {n_features} features"
             )
-        values = np.asarray(payload, dtype=float)
+        try:
+            values = np.asarray(payload, dtype=float)
+        except OverflowError:
+            raise ValueError("--instance-json: a value is too large for a float") from None
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
         return values[None, :][: args.limit]
@@ -240,7 +243,7 @@ def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]
     skipped = 0
     first = 0
     for block, problems in cover_problem_blocks(clf, _instances_from_args(args, bundle)):
-        settled = [explain_block(clf, block, problems, args.method) for _ in range(repeats)]
+        settled = [explain_block(block, problems, args.method) for _ in range(repeats)]
         for instance_id, (problem, *found) in enumerate(zip(problems, *settled), first):
             if problem is None:
                 skipped += 1

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LinearModel, RejectClassifier, _as_index_array
+from .model import LinearModel, RejectClassifier, _index_array, _IndexField
 
 class ModelFormatError(ValueError):
     """A model file is missing fields or violates an invariant."""
@@ -182,21 +182,21 @@ def load_feature_matrix(path, delimiter: str = ",") -> tuple[np.ndarray, tuple[s
     return matrix, tuple(header)
 
 
-# The most bytes of rows ``_drop_last_column`` moves in one step.
+# The most bytes of rows ``_drop_column`` moves in one step.
 _PACK_BYTES = 1 << 20
 
 
-def _drop_last_column(matrix: np.ndarray) -> np.ndarray:
-    """``matrix[:, :-1]`` as a C-ordered matrix in ``matrix``'s own buffer,
-    which it overwrites: each block of rows moves down over the cells of the
-    column dropped before it.  No block's destination reaches a later row's
-    cells, and numpy buffers a block whose source and destination overlap.
+def _drop_column(matrix: np.ndarray, j: int) -> np.ndarray:
+    """``np.delete(matrix, j, axis=1)`` as a C-ordered matrix in ``matrix``'s
+    own buffer, which it overwrites: each block of rows is copied without
+    column ``j``, then moves down over the cells of the column dropped
+    before it.  No block's destination reaches a later row's cells.
     """
     m, width = matrix.shape
     packed = matrix.reshape(-1)[: m * (width - 1)].reshape(m, width - 1)
     step = max(1, _PACK_BYTES // (matrix.itemsize * width))
     for start in range(0, m, step):
-        packed[start : start + step] = matrix[start : start + step, :-1]
+        packed[start : start + step] = np.delete(matrix[start : start + step], j, axis=1)
     return packed
 
 
@@ -230,10 +230,7 @@ def load_dataset(
         raise ValueError(f"{path}: label column index {label_column} out of range")
 
     labels = _normalize_labels(matrix[:, label_idx], header[label_idx], path)
-    if label_idx == len(header) - 1:
-        features = _drop_last_column(matrix)
-    else:
-        features = np.delete(matrix, label_idx, axis=1)
+    features = _drop_column(matrix, label_idx)
 
     if scaling is not None:
         features = scaling.transform(features)
@@ -286,7 +283,10 @@ def _model_number(payload: dict, field: str, path: Path, nullable: bool = False)
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{path}: {field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{path}: {field} is too large for a float") from None
 
 
 def _model_array(value, field: str, path: Path) -> np.ndarray:
@@ -346,29 +346,6 @@ def load_model(path) -> ModelBundle:
     return ModelBundle(model=model, t_minus=t_minus, t_plus=t_plus, scaling=scaling)
 
 
-class _IndexField:
-    """:attr:`ExplanationRecord.indices`: kept as the intp array it is given
-    (or made from a tuple or list of integers), read as a tuple of Python
-    ints.  The first read builds the tuple and keeps it in the array's place,
-    so a record's equality, hash and ``repr`` read a tuple, and ``vars()``
-    holds the fields alone; the report writer reads
-    :attr:`ExplanationRecord.index_array`."""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            raise AttributeError("indices has no default")  # so the field is required
-        value = record.__dict__["indices"]
-        if isinstance(value, np.ndarray):
-            value = record.__dict__["indices"] = tuple(value.tolist())
-        return value
-
-    def __set__(self, record, value):
-        # A flat intp array is what ``_as_index_array`` makes of one anyway.
-        if not (value.__class__ is np.ndarray and value.dtype == np.intp and value.ndim == 1):
-            value = _as_index_array(value)
-        record.__dict__["indices"] = value
-
-
 @dataclass(frozen=True)
 class ExplanationRecord:
     """One explained instance, as written to a report."""
@@ -385,12 +362,7 @@ class ExplanationRecord:
     nodes: int | None = None
     boundary_tight: bool = False
 
-    @property
-    def index_array(self) -> np.ndarray:
-        """The indices as an intp array, without building their tuple (made
-        again from the tuple once that has been read)."""
-        value = self.__dict__["indices"]
-        return value if isinstance(value, np.ndarray) else np.array(value, dtype=np.intp)
+    index_array = _index_array
 
 
 REPORT_RECORD_FIELDS = tuple(field.name for field in fields(ExplanationRecord))

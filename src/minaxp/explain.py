@@ -20,9 +20,7 @@ import numpy as np
 from .baseline import deletion_block, deletion_explanation
 from .classified import greedy_block, greedy_explanation
 from .dataio import ExplanationRecord
-from .model import (
-    CoverProblem, Explanation, ExplanationKind, Instance, Label, RejectClassifier, cover_problem,
-)
+from .model import CoverProblem, Instance, Label, RejectClassifier, cover_problem
 from .rejected import (
     DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchRoot, root_block, solve_rejection_ilp,
 )
@@ -44,23 +42,22 @@ _BLOCK_ROWS = 32
 _OPEN = (None, False, None, 0.0)
 
 
-def explain_block(
-    clf: RejectClassifier, block: np.ndarray, problems: list, method: str = "minabro",
-) -> list[dict]:
+def explain_block(block: np.ndarray, problems: list, method: str = "minabro") -> list[dict]:
     """For each row of a block from ``model.cover_problem_blocks``, what
     whole-block kernels settle of its explanations, by method name, for
     :func:`explain_instance`'s ``settled``: the greedy's set of each accepted
     row, the solver's answer of each rejected row that needs no branching
     (and the root of each that does), and the first fit of every row.  Each
-    kernel's time is split evenly over the rows it ran on.  Nothing here
-    raises for a row: what fails is left open, and the row's own explainer
-    raises.
+    kernel's time is split evenly over the rows it ran on.  A label's need
+    and limits are read from its first row's problem, where
+    ``model.cover_problem_blocks`` fixed them for every row of the label.
+    Nothing here raises for a row: what fails is left open, and the row's
+    own explainer raises.
     """
     settled = [{} for _ in problems]
     live = [i for i, problem in enumerate(problems) if problem is not None]
     if len(live) < _BLOCK_ROWS:
         return settled
-    model = clf.model
     names = ("minabro", "baseline") if method == "both" else (method,)
     if "minabro" in names:
         by_label = {label: [] for label in Label}
@@ -69,14 +66,15 @@ def explain_block(
         for label, rows in by_label.items():
             if not rows:
                 continue
+            first = problems[rows[0]]
             start = time.perf_counter()
             if label is Label.POSITIVE:
-                found = greedy_block(block[rows, 1], clf.t_plus - model.bottom)
+                found = greedy_block(block[rows, 1], first.need_down)
             elif label is Label.NEGATIVE:
-                found = greedy_block(block[rows, 0], model.top - clf.t_minus)
+                found = greedy_block(block[rows, 0], first.need_up)
             else:
-                found = root_block(block[rows, 0], block[rows, 1], model.top, model.bottom,
-                                   clf.t_plus, clf.t_minus)
+                found = root_block(block[rows, 0], block[rows, 1], first.top, first.bottom,
+                                   first.ceiling, first.floor)
             share = (time.perf_counter() - start) * 1000.0 / len(rows)
             nodes = 0 if label is Label.REJECT else None
             for i, idx in zip(rows, found):
@@ -105,8 +103,8 @@ def explain_instance(
     """Explain one instance with the requested method(s), returning report records.
 
     The instance is validated, scored and turned into its cover problem once,
-    unless it is given as that problem (``model.cover_problems`` builds them
-    for a block of rows); each record's ``time_ms`` covers its explainer
+    unless it is given as that problem (``model.cover_problem_blocks`` builds
+    them for a block of rows); each record's ``time_ms`` covers its explainer
     working from that problem.  ``settled`` holds what :func:`explain_block`
     found for this row: a method's set is taken from there when it passes
     ``CoverProblem.holds``, and its ``time_ms`` is the row's share of the
@@ -145,16 +143,14 @@ def _explain_alone(problem: CoverProblem, name: str, node_limit: int, time_limit
                    root: SearchRoot | None):
     """``(index array, certified minimum, nodes)`` of the row's own explainer
     ``name``; a rejected row's search starts from ``root`` when given."""
-    nodes = None
     try:
         if name == "baseline":
             explanation = deletion_explanation(problem)
         elif problem.label is Label.REJECT:
             solution = solve_rejection_ilp(problem, node_limit, time_limit, root)
-            explanation = Explanation(solution.selected, ExplanationKind.REJECTION, solution.optimal)
-            nodes = solution.nodes_explored
+            return solution.selected, solution.optimal, solution.nodes_explored
         else:
             explanation = greedy_explanation(problem)
     except ValueError as exc:
         raise type(exc)(f"instance {instance_id}: {exc}") from exc
-    return explanation.index_array, explanation.certified_minimum, nodes
+    return explanation.index_array, explanation.certified_minimum, None

@@ -224,47 +224,61 @@ class Prediction:
     score: float
 
 
-@dataclass(frozen=True, init=False, eq=False)
+class _IndexField:
+    """An index-set field of a frozen dataclass, :attr:`Explanation.indices`
+    and ``ExplanationRecord.indices``: kept as the intp array it is given
+    (or made from any sequence of integers), read as a tuple of Python ints.
+    The first read builds the tuple and keeps it in the array's place, so
+    equality, hash and ``repr`` read a tuple, and ``vars()`` holds the
+    fields alone; the ``index_array`` property reads the array."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("indices has no default")  # so the field is required
+        value = obj.__dict__["indices"]
+        if isinstance(value, np.ndarray):
+            value = obj.__dict__["indices"] = tuple(value.tolist())
+        return value
+
+    def __set__(self, obj, value):
+        # A flat intp array is what ``_as_index_array`` makes of one anyway.
+        if not (value.__class__ is np.ndarray and value.dtype == np.intp and value.ndim == 1):
+            value = _as_index_array(value)
+        obj.__dict__["indices"] = value
+
+
+@property
+def _index_array(self) -> np.ndarray:
+    """The indices as an intp array, without building their tuple (made
+    again from the tuple once that has been read)."""
+    value = self.__dict__["indices"]
+    return value if isinstance(value, np.ndarray) else np.array(value, dtype=np.intp)
+
+
+@dataclass(frozen=True)
 class Explanation:
     """A set of pinned feature indices sufficient to lock in a prediction.
 
-    ``indices`` may be any sorted, duplicate-free integer sequence, an index
-    array included.  It is kept as the intp array ``index_array``; ``indices``
-    builds its tuple of Python ints on first read.
+    ``indices`` may be any sorted, duplicate-free sequence of non-negative
+    integers, an index array included (see :class:`_IndexField`).
     """
 
-    index_array: np.ndarray
+    indices: tuple[int, ...] = _IndexField()
     kind: ExplanationKind
     certified_minimum: bool
 
-    def __init__(self, indices: Iterable[int], kind: ExplanationKind, certified_minimum: bool):
-        idx = _as_index_array(indices)
+    index_array = _index_array
+
+    def __post_init__(self):
+        idx = self.index_array
         if (idx[1:] <= idx[:-1]).any():
             raise ValueError("explanation indices must be sorted and duplicate-free")
         if idx.size and idx[0] < 0:
             raise ValueError("explanation indices must be non-negative")
-        object.__setattr__(self, "index_array", idx)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "certified_minimum", certified_minimum)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        if "_indices" not in self.__dict__:  # by hand: cached_property locks on first read
-            self.__dict__["_indices"] = tuple(self.index_array.tolist())
-        return self.__dict__["_indices"]
 
     @property
     def size(self) -> int:
-        return self.index_array.size
-
-    def _key(self):
-        return self.indices, self.kind, self.certified_minimum
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        return len(self.__dict__["indices"])
 
 
 def score_from_products(products: np.ndarray, bias: float):
@@ -394,20 +408,11 @@ def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
     return _labelled(clf, float(score_from_products(beta, model.bias)), block)
 
 
-# The most bytes of gains and work rows that ``cover_problems`` holds at once:
+# The most bytes of gains and work rows that ``cover_problem_blocks`` holds at once:
 # a 16,384-feature row fills it alone, as ``cover_problem``'s block does.
 # Blocks of two such rows built slower (200 rows: 17.7 against 15.6 ms on a
 # 2-vCPU VM); at 30 to 200 features any size from 256 KiB up did as well.
 _BLOCK_BYTES = 1 << 19
-
-
-def cover_problems(clf: RejectClassifier, rows) -> Iterator[CoverProblem | None]:
-    """The cover problem of each row of the matrix ``rows``, bit for bit as
-    :func:`cover_problem` builds it from that row alone, or None for a row
-    outside the model's domains.  See :func:`cover_problem_blocks`.
-    """
-    for _, problems in cover_problem_blocks(clf, rows):
-        yield from problems
 
 
 def cover_problem_blocks(

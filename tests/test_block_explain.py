@@ -47,7 +47,7 @@ def _compare(clf, X, method, **limits):
     settled_records = 0
     instance_id = 0
     for block, problems in model_module.cover_problem_blocks(clf, X):
-        settled = explain.explain_block(clf, block, problems, method)
+        settled = explain.explain_block(block, problems, method)
         assert len(settled) == len(problems)
         for problem, found in zip(problems, settled):
             alone = _outcome(lambda: explain_instance(
@@ -167,6 +167,18 @@ def test_rejected_rows_on_every_solver_path(monkeypatch, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_rejected_rows_whose_score_range_lies_inside_the_band(method):
+    # Nothing pinned already keeps every score in the band: the block's root
+    # gives each row the empty set without looking at its gains.
+    clf, X = _rows(9, 12, 2 * explain._BLOCK_ROWS, 0.5)
+    clf = RejectClassifier(clf.model, clf.model.bottom - 1.0, clf.model.top + 1.0)
+    assert _compare(clf, X, method) >= X.shape[0]
+    for i, x in enumerate(X):
+        record = explain_instance(clf, Instance(x), i)[0]
+        assert (record.indices, record.certified_minimum, record.nodes) == ((), True, 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_rejected_rows_with_equal_costs(monkeypatch, method):
     # Quarter steps: equal costs in the branch order, equal surrogate values
     # in the second fill's, and sums that land exactly on a bound.
@@ -227,7 +239,7 @@ def test_block_sizes(monkeypatch, method, size):
 def test_settled_records_keep_the_kernels_index_arrays():
     clf, X = _rows(1, 24, 100, 0.5)
     block, problems = next(model_module.cover_problem_blocks(clf, X))
-    settled = explain.explain_block(clf, block, problems, "both")
+    settled = explain.explain_block(block, problems, "both")
     for i, (problem, found) in enumerate(zip(problems, settled)):
         for record in explain_instance(clf, problem, i, method="both", settled=found):
             idx = found[record.method][0]

@@ -636,8 +636,9 @@ class TestExitCodes:
             ("[true, 5.0]", "expected a flat JSON list of numbers"),
             ('{"value": [5.0, 5.0]}', 'the JSON object has no "values" field'),
             ('{"values": 5.0}', "expected a flat JSON list of numbers"),
+            ("[5.0, 1" + "0" * 400 + "]", "a value is too large for a float"),
         ],
-        ids=["short", "long", "nested", "string", "bool", "no-values", "scalar-values"],
+        ids=["short", "long", "nested", "string", "bool", "no-values", "scalar-values", "huge-int"],
     )
     def test_bad_instance_json_is_input_error(self, tmp_path, capsys, payload, message):
         model = tmp_path / "model.json"
@@ -710,8 +711,12 @@ class TestExitCodes:
              ' "domains": [[0, 1], [0, 1]], "scaling": null}', "worst-case score bounds overflow"),
             (SCALED_BAND_MODEL.replace('"maxs": [10.0, 10.0]', '"maxs": [Infinity, 10.0]'),
              "scaling mins and maxs must be finite"),
+            *((SCALED_BAND_MODEL.replace(f'"{field}": {value}', f'"{field}": -1{"0" * 400}'),
+               f"{field} is too large for a float")
+              for field, value in (("bias", "0.0"), ("t_minus", "-1.0"), ("t_plus", "1.0"))),
         ],
-        ids=["number", "list", "bias-str", "overflow", "scaling-inf"],
+        ids=["number", "list", "bias-str", "overflow", "scaling-inf",
+             "bias-huge-int", "t_minus-huge-int", "t_plus-huge-int"],
     )
     def test_bad_model_file_is_input_error(self, tmp_path, capsys, payload, message):
         model = tmp_path / "model.json"

@@ -119,34 +119,55 @@ class TestDataset:
             np.testing.assert_array_equal(data.features, [[0.1, 0.2, -1], [0.3, 0.4, 1]])
             assert data.feature_names == ("a", "b", "q")
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 1), (7, 2), (40, 5), (33, 129)])
+    _SHAPES = [(1, 1), (1, 2), (3, 1), (7, 2), (40, 5), (33, 129)]
+
+    @staticmethod
+    def _assert_column_dropped_in_place(shape, position):
+        matrix = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+        j = {"first": 0, "middle": shape[1] // 2, "last": shape[1] - 1}[position]
+        expected = np.delete(matrix, j, axis=1)
+        features = dataio._drop_column(matrix, j)
+        assert features.flags.c_contiguous
+        assert features.size == 0 or np.shares_memory(features, matrix)
+        assert features.shape == expected.shape
+        assert features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", _SHAPES)
     @pytest.mark.parametrize("pack_bytes", [1, 64, 200, 1 << 20])
     def test_last_column_dropped_in_place(self, monkeypatch, shape, pack_bytes):
         # Small steps move one row at a time over its own source; large ones
         # move blocks whose source and destination overlap.
         monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
-        matrix = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
-        expected = matrix[:, :-1].copy()
-        features = dataio._drop_last_column(matrix)
-        assert features.flags.c_contiguous
-        assert features.size == 0 or np.shares_memory(features, matrix)
-        assert features.shape == expected.shape
-        assert features.tobytes() == expected.tobytes()
+        self._assert_column_dropped_in_place(shape, "last")
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("pack_bytes", [1, 64, 200, 1 << 20])
+    @pytest.mark.parametrize("position", ["first", "middle"])
+    def test_other_column_dropped_in_place(self, monkeypatch, shape, pack_bytes, position):
+        monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
+        self._assert_column_dropped_in_place(shape, position)
 
     @pytest.mark.parametrize("pack_bytes", [48, 1 << 20])
     def test_label_last_matches_label_first(self, tmp_path, monkeypatch, pack_bytes):
         monkeypatch.setattr(dataio, "_PACK_BYTES", pack_bytes)
         rng = np.random.default_rng(5)
         X, y = rng.normal(size=(50, 6)), np.where(rng.random(50) < 0.5, 3.0, 7.0)
-        last, first = tmp_path / "last.csv", tmp_path / "first.csv"
+        last = tmp_path / "last.csv"
         write_csv(last, X, y)
-        lines = [",".join(["label"] + [f"f{i}" for i in range(6)])]
-        lines += [",".join(map(repr, [label, *row])) for label, row in zip(y.tolist(), X.tolist())]
-        first.write_text("\n".join(lines) + "\n")
         by_last = load_dataset(last)
-        by_first = load_dataset(first, label_column=0)
-        assert by_last.features.tobytes() == by_first.features.tobytes() == X.tobytes()
+        assert by_last.features.tobytes() == X.tobytes()
         assert by_last.labels.tolist() == np.where(y == 7.0, 1, -1).tolist()
+        for j in (0, 3):  # the first column, then a middle one
+            names = [f"f{i}" for i in range(6)]
+            table = np.insert(X, j, y, axis=1)
+            lines = [",".join(names[:j] + ["label"] + names[j:])]
+            lines += [",".join(map(repr, row)) for row in table.tolist()]
+            path = tmp_path / f"label{j}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            by_position = load_dataset(path, label_column=j)
+            assert by_position.features.tobytes() == X.tobytes()
+            assert by_position.labels.tolist() == by_last.labels.tolist()
+            assert by_position.feature_names == by_last.feature_names
 
     def test_feature_matrix_loader(self, tmp_path):
         path = tmp_path / "plain.csv"

@@ -143,7 +143,8 @@ class TestCoverProblems:
         return RejectClassifier(model, (s[1] + s[2]) / 2, (s[-3] + s[-2]) / 2), X
 
     def _assert_matches_per_row(self, clf, X):
-        problems = list(model_module.cover_problems(clf, X))  # earlier blocks outlive later ones
+        # Earlier blocks outlive later ones.
+        problems = [p for _, block in model_module.cover_problem_blocks(clf, X) for p in block]
         assert len(problems) == X.shape[0]
         labels = set()
         for row, problem in zip(np.ascontiguousarray(X), problems):
@@ -171,7 +172,8 @@ class TestCoverProblems:
 
     def test_greedy_work_rows_stay_inside_their_row(self):
         clf, X = self._case(30, 40)
-        problems = [p for p in model_module.cover_problems(clf, X) if p is not None]
+        blocks = model_module.cover_problem_blocks(clf, X)
+        problems = [p for _, block in blocks for p in block if p is not None]
         before = [_problem_fields(p) for p in problems]
         for problem in problems:
             if problem.label is not Label.REJECT:
@@ -181,14 +183,14 @@ class TestCoverProblems:
     def test_bad_rows_are_refused(self, band_case):
         clf, _ = band_case
         with pytest.raises(ValueError, match="^instance has 3 values but model expects 2$"):
-            next(model_module.cover_problems(clf, np.full((4, 3), 0.5)))
+            next(model_module.cover_problem_blocks(clf, np.full((4, 3), 0.5)))
         with pytest.raises(ValueError, match="^rows must be a 2-d matrix$"):
-            next(model_module.cover_problems(clf, np.full(2, 0.5)))
+            next(model_module.cover_problem_blocks(clf, np.full(2, 0.5)))
         for bad in (np.nan, np.inf, -np.inf):
             X = np.full((4, 2), 0.5)
             X[2, 1] = bad
             with pytest.raises(ValueError, match="^instance values must be finite$"):
-                list(model_module.cover_problems(clf, X))
+                list(model_module.cover_problem_blocks(clf, X))
 
 
 class TestScoreBounds:

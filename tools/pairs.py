@@ -7,8 +7,9 @@ Each pair runs the benchmark once in each checkout, on the same workload and
 seed; the side that runs first alternates from pair to pair.  For every
 metric the summary gives each side's median [q1, q3] and how many pairs the
 change won, using the ``better`` direction that ``BENCHMARK.json`` names.
-The output file keeps every pair's metrics and the summary, per workload.
-Standard library only.
+Each side's line total over ``src/minaxp/*.py`` is printed beside the
+metrics.  The output file keeps every pair's metrics and the summary, per
+workload, and the line totals.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def _directions() -> dict:
     """``{metric: "higher" | "lower"}`` from this tree's BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def src_lines(checkout: Path) -> int:
+    """The line total of ``src/minaxp/*.py`` in ``checkout``, as ``wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "minaxp").glob("*.py"))
 
 
 def _run(checkout: Path, args, workload: str) -> dict:
@@ -89,8 +95,10 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: no perfbench/run.py under {parent}")
     checkouts = {"parent": parent, "change": ROOT}
     directions = _directions()
+    lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
     report = {
         "command": {"seed": args.seed, "seconds": args.seconds, "trace": args.trace},
+        "src_lines": lines,
         "workloads": {},
     }
     for workload in args.workload:
@@ -106,6 +114,7 @@ def main(argv=None) -> int:
             ), file=sys.stderr)
         summary = summarise(pairs, directions)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        print(f"{workload} src lines: parent {lines['parent']} -> change {lines['change']}")
         for name, row in summary.items():
             parent_q, change_q = row["parent"], row["change"]
             print(f"{workload} {name} ({row['unit']}, {row['better']} is better): "
