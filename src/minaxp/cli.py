@@ -8,6 +8,7 @@ seed and inputs every command is deterministic (timings excepted).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import json
@@ -20,8 +21,8 @@ import numpy as np
 from .calibration import RiskConfig, TrainConfig, calibrate_thresholds, train_logistic
 from .dataio import (
     Dataset,
-    ExplanationRecord,
     ModelBundle,
+    RecordColumns,
     ScalingInfo,
     aggregate_records,
     load_dataset,
@@ -30,10 +31,12 @@ from .dataio import (
     save_model,
     write_explanation_report,
 )
-from .explain import METHODS, explain_block, explain_instance
-from .model import DEFAULT_EPSILON, DomainError, Instance, Label, cover_problem_blocks, score_from_products
+from .explain import METHODS, BlockRecords, explain_block, explain_instance, method_names
+from .model import (
+    _KIND_FOR_LABEL, DEFAULT_EPSILON, DomainError, Instance, Label, cover_problem_blocks, score_from_products,
+)
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
-from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
+from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchRoot
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -230,53 +233,94 @@ def _check_limits(args) -> None:
         raise ValueError(f"--time-limit must be a number >= 0, got {args.time_limit}")
 
 
-def _explain_rows(args, repeats: int = 1) -> tuple[list[ExplanationRecord], int]:
-    """Explain every selected row ``repeats`` times over, a block of rows at
-    a time: ``explain_block`` settles what it can for the whole block, then
-    ``explain_instance`` makes each row's records.  With several repeats
-    each record's ``time_ms`` is the median of its repeats'.  Returns the
-    records and the number of out-of-domain rows skipped."""
+def _explain_rows(args, repeats: int = 1) -> tuple[RecordColumns, int]:
+    """:func:`_explain_matrix` of the rows that --data or --instance-json select."""
     _check_limits(args)
     bundle = load_model(args.model)
-    clf = bundle.classifier()
-    records: list[ExplanationRecord] = []
+    return _explain_matrix(bundle.classifier(), _instances_from_args(args, bundle), args.method,
+                           args.node_limit, args.time_limit, repeats)
+
+
+def _explain_matrix(clf, rows: np.ndarray, method: str, node_limit: int = DEFAULT_NODE_LIMIT,
+                    time_limit: float = DEFAULT_TIME_LIMIT, repeats: int = 1) -> tuple[RecordColumns, int]:
+    """Explain every row of ``rows`` ``repeats`` times over, a block of rows
+    at a time: ``explain_block`` settles and checks what it can for the whole
+    block, and ``explain_instance`` explains each row it left open.  The
+    records are kept as columns.  With several repeats each record's
+    ``time_ms`` is the median of its repeats'.  Returns the records and the
+    number of out-of-domain rows skipped."""
+    names = method_names(method)
+    # Each in-domain row's id, label and score, and what each method found for it.
+    ids, labels, scores = [], [], []
+    kept = {name: BlockRecords([], [], [], [], []) for name in names}
     skipped = 0
     first = 0
-    for block, problems in cover_problem_blocks(clf, _instances_from_args(args, bundle)):
-        settled = [explain_block(block, problems, args.method) for _ in range(repeats)]
-        for instance_id, (problem, *found) in enumerate(zip(problems, *settled), first):
-            if problem is None:
-                skipped += 1
+    for block, problems in cover_problem_blocks(clf, rows):
+        runs = [explain_block(block, problems, method) for _ in range(repeats)]
+        live = [i for i, label in enumerate(problems.labels) if label is not None]
+        skipped += len(problems) - len(live)
+        found = runs[0]
+        for k, i in enumerate(live):
+            left = [name for name in names if found[name].indices[k].__class__ is not np.ndarray]
+            if not left:
                 continue
-            runs = [
-                explain_instance(
+            for run in runs:
+                root = run[left[0]].indices[k]
+                for record in explain_instance(
                     clf,
-                    problem,
-                    instance_id,
-                    method=args.method,
-                    node_limit=args.node_limit,
-                    time_limit=args.time_limit,
-                    settled=row,
-                )
-                for row in found
-            ]
-            if repeats == 1:
-                records += runs[0]
-                continue
-            for same in zip(*runs):
-                median = statistics.median(record.time_ms for record in same)
-                records.append(dataclasses.replace(same[0], indices=same[0].index_array, time_ms=median))
+                    problems[i],
+                    first + i,
+                    method=method if len(left) == len(names) else left[0],
+                    node_limit=node_limit,
+                    time_limit=time_limit,
+                    root=root if isinstance(root, SearchRoot) else None,
+                ):
+                    run[record.method].fill(k, record)
+        for name in names:
+            if repeats > 1:
+                found[name].time_ms = list(map(statistics.median, zip(*(run[name].time_ms for run in runs))))
+            kept[name].extend(found[name])
+        ids += [first + i for i in live]
+        labels += [problems.labels[i] for i in live]
+        scores += [problems.scores[i] for i in live]
         first += len(problems)
-    return records, skipped
+    columns = RecordColumns()
+    columns.extend(
+        instance_id=_interleave([ids] * len(names)),
+        label=_interleave([list(map(_LABEL_TEXT.__getitem__, labels))] * len(names)),
+        score=_interleave([scores] * len(names)),
+        kind=_interleave([list(map(_KIND_TEXT.__getitem__, labels))] * len(names)),
+        indices=_interleave([kept[name].indices for name in names]),
+        size=_interleave([list(map(len, kept[name].indices)) for name in names]),
+        certified_minimum=_interleave([kept[name].certified_minimum for name in names]),
+        method=_interleave([[name] * len(ids) for name in names]),
+        time_ms=_interleave([kept[name].time_ms for name in names]),
+        nodes=_interleave([kept[name].nodes for name in names]),
+        boundary_tight=_interleave([kept[name].boundary_tight for name in names]),
+    )
+    return columns, skipped
+
+
+# Report texts by label, read without ``Enum.value``'s per-read cost.
+_LABEL_TEXT = {label: label.value for label in Label}
+_KIND_TEXT = {label: kind.value for label, kind in _KIND_FOR_LABEL.items()}
+
+
+def _interleave(columns: list[list]) -> list:
+    """One list of the items of equal-length ``columns``, row by row."""
+    if len(columns) == 1:
+        return columns[0]
+    out = [None] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        out[j :: len(columns)] = column
+    return out
 
 
 def cmd_explain(args) -> int:
-    records, skipped = _explain_rows(args)
-    write_explanation_report(records, args.out_report, skipped_out_of_domain=skipped)
-    by_kind = {}
-    for record in records:
-        by_kind[record.kind] = by_kind.get(record.kind, 0) + 1
-    print(f"explained {len(records)} record(s) ({by_kind}), skipped {skipped} out-of-domain")
+    columns, skipped = _explain_rows(args)
+    write_explanation_report(columns, args.out_report, skipped_out_of_domain=skipped)
+    by_kind = dict(collections.Counter(columns.fields["kind"]))
+    print(f"explained {len(columns)} record(s) ({by_kind}), skipped {skipped} out-of-domain")
     print(f"report written to {args.out_report}")
     return EXIT_OK
 
@@ -344,12 +388,12 @@ def cmd_verify(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    records, skipped = _explain_rows(args, args.repeats)
+    columns, skipped = _explain_rows(args, args.repeats)
     note = None
     if args.repeats == 1:
         note = "single repeat: per-instance timing spread undefined, medians equal the one sample"
-    write_explanation_report(records, args.out_report, skipped_out_of_domain=skipped, note=note)
-    for group, stats in aggregate_records(records).items():
+    write_explanation_report(columns, args.out_report, skipped_out_of_domain=skipped, note=note)
+    for group, stats in aggregate_records(columns).items():
         if stats["count"]:
             print(
                 f"{group}: n={stats['count']} size {stats['size_mean']:.2f}±{stats['size_std']:.2f} "

@@ -15,12 +15,13 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, fields
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .model import LinearModel, RejectClassifier, _index_array, _IndexField
+from .model import LinearModel, RejectClassifier, _index_array, _index_value, _IndexField
 
 class ModelFormatError(ValueError):
     """A model file is missing fields or violates an invariant."""
@@ -346,7 +347,7 @@ def load_model(path) -> ModelBundle:
     return ModelBundle(model=model, t_minus=t_minus, t_plus=t_plus, scaling=scaling)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExplanationRecord:
     """One explained instance, as written to a report."""
 
@@ -364,12 +365,52 @@ class ExplanationRecord:
 
     index_array = _index_array
 
+    # Written out, filling ``__dict__`` in field order: the generated frozen
+    # ``__init__`` sets each field through ``object.__setattr__``.
+    def __init__(self, instance_id: int | str, label: str, score: float, kind: str, indices, size: int,
+                 certified_minimum: bool, method: str, time_ms: float, nodes: int | None = None,
+                 boundary_tight: bool = False):
+        self.__dict__.update(
+            instance_id=instance_id, label=label, score=score, kind=kind, indices=_index_value(indices),
+            size=size, certified_minimum=certified_minimum, method=method, time_ms=time_ms,
+            nodes=nodes, boundary_tight=boundary_tight,
+        )
+
 
 REPORT_RECORD_FIELDS = tuple(field.name for field in fields(ExplanationRecord))
 
 
-def _group_stats(records: list[ExplanationRecord]) -> dict:
-    if not records:
+class RecordColumns:
+    """Report records held as columns: ``fields`` maps each field of
+    :class:`ExplanationRecord`, in field order, to the list of its values,
+    one per record in report order, the index sets as intp arrays.
+
+    ``RecordColumns(records)`` holds ``records``; ``extend`` appends columns
+    of values.
+    """
+
+    def __init__(self, records=()):
+        records = list(records)
+        self.fields = {
+            name: list(map(operator.attrgetter("index_array" if name == "indices" else name), records))
+            for name in REPORT_RECORD_FIELDS
+        }
+
+    def __len__(self) -> int:
+        return len(self.fields["method"])
+
+    def extend(self, **columns: list) -> None:
+        """Append one list of values per field, every field given, all of one length."""
+        for name, column in self.fields.items():
+            column += columns[name]
+
+
+def _as_columns(records) -> RecordColumns:
+    return records if isinstance(records, RecordColumns) else RecordColumns(records)
+
+
+def _group_stats(sizes: list, times: list) -> dict:
+    if not sizes:
         return {
             "count": 0,
             "size_mean": None,
@@ -377,10 +418,9 @@ def _group_stats(records: list[ExplanationRecord]) -> dict:
             "time_mean_ms": None,
             "time_std_ms": None,
         }
-    sizes = np.array([r.size for r in records], dtype=float)
-    times = np.array([r.time_ms for r in records], dtype=float)
+    sizes, times = np.array(sizes, dtype=float), np.array(times, dtype=float)
     return {
-        "count": len(records),
+        "count": sizes.size,
         "size_mean": float(sizes.mean()),
         "size_std": float(sizes.std()),
         "time_mean_ms": float(times.mean()),
@@ -388,53 +428,92 @@ def _group_stats(records: list[ExplanationRecord]) -> dict:
     }
 
 
-def aggregate_records(records: list[ExplanationRecord]) -> dict:
+def aggregate_records(records: list[ExplanationRecord] | RecordColumns) -> dict:
     """Mean and standard deviation of size and time, split by method and by
-    classified versus rejected."""
+    classified versus rejected, of a list of records or their columns."""
+    fields = _as_columns(records).fields
+    rejected = np.fromiter(map(operator.eq, fields["kind"], repeat("REJECTION")), dtype=bool)
     groups = {}
     for method in ("minabro", "baseline"):
-        for split in ("classified", "rejected"):
-            if split == "rejected":
-                members = [r for r in records if r.method == method and r.kind == "REJECTION"]
-            else:
-                members = [r for r in records if r.method == method and r.kind != "REJECTION"]
-            groups[f"{method}/{split}"] = _group_stats(members)
+        ours = np.fromiter(map(operator.eq, fields["method"], repeat(method)), dtype=bool)
+        for split, members in (("classified", ours & ~rejected), ("rejected", ours & rejected)):
+            groups[f"{method}/{split}"] = _group_stats(
+                list(compress(fields["size"], members)), list(compress(fields["time_ms"], members))
+            )
     return groups
 
 
-# The fields a report line writes with ``_json_column``, and the line's
-# template: its arguments are those fields' texts, then the index list.
-_SCALAR_FIELDS = tuple(name for name in REPORT_RECORD_FIELDS if name != "indices")
-_scalar_values = operator.attrgetter(*_SCALAR_FIELDS)
-_LINE_ARGUMENTS = _SCALAR_FIELDS + ("indices",)
-_RECORD_LINE = "{{" + ", ".join(
-    f"{json.dumps(name)}: {{{_LINE_ARGUMENTS.index(name)}}}" for name in REPORT_RECORD_FIELDS
-) + "}}\n"
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-def _json_column(values: tuple) -> list[str]:
+def _json_column(values: list) -> list[str]:
     """``json.dumps`` of each value of one field.  A column of strings, of
     finite floats, or of ints, bools and None is written in one pass without
     ``json.dumps``'s per-call set-up; any other goes through it, so a value
-    it refuses is still refused."""
+    it refuses is still refused.  A float column's text is made once per
+    distinct value, unless it holds a zero (0.0 and -0.0 are one dict key)."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
     if kinds == {float} and all(map(math.isfinite, values)):  # json writes NaN and Infinity itself
-        return list(map(float.__repr__, values))
+        texts = dict.fromkeys(values)
+        if 0.0 in texts:
+            return list(map(float.__repr__, values))
+        texts = dict(zip(texts, map(float.__repr__, texts)))
+        return list(map(texts.__getitem__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return list(map(_JSON_CONSTANTS.__getitem__, values))
     if kinds <= {int, bool, type(None)}:
         return [int.__repr__(v) if type(v) is int else _JSON_CONSTANTS[v] for v in values]
     return list(map(json.dumps, values))
 
 
-# The most records whose scalar fields are encoded, and their texts held, at once.
-_WRITE_CHUNK = 128
+# A record line is one %-template per (label, kind, method), those three
+# texts written in, filled with the texts of the other fields in field order.
+_TEMPLATE_KEYS = ("label", "kind", "method")
+_FILLED_FIELDS = tuple(name for name in REPORT_RECORD_FIELDS if name not in _TEMPLATE_KEYS)
+
+
+def _line_template(texts: dict) -> str:
+    """The line template given the JSON texts of the template's key fields."""
+    return "{" + ", ".join(
+        f"{json.dumps(name)}: " + (texts[name].replace("%", "%%") if name in texts else "%s")
+        for name in REPORT_RECORD_FIELDS
+    ) + "}\n"
+
+
+class _LineTemplates:
+    """Each record's line template, made once per report for each (label,
+    kind, method).  Columns of strings key the templates as they are; any
+    other column is keyed by its values' JSON texts, in a table of its own."""
+
+    def __init__(self):
+        self.by_value, self.by_text = {}, {}
+
+    def __call__(self, keys: list[list]) -> list[str]:
+        if all(set(map(type, column)) <= {str} for column in keys):
+            table, encode = self.by_value, encode_basestring_ascii
+        else:
+            keys, table, encode = [_json_column(column) for column in keys], self.by_text, str
+        for key in set(zip(*keys)) - table.keys():
+            table[key] = _line_template({name: encode(v) for name, v in zip(_TEMPLATE_KEYS, key)})
+        return list(map(table.__getitem__, zip(*keys)))
+
+
+# The most records whose fields are encoded, and their texts held, at once.
+_WRITE_CHUNK = 1024
 
 
 # The widest index ``_IndexLists`` looks up in its table; wider ones are
 # written one ``str`` at a time.
 _INDEX_TABLE_LIMIT = 1 << 18
+
+
+# Index lists of at most this many indices are written once per report for
+# each distinct set; a record's set often recurs, the other method's included.
+_INDEX_MEMO_SIZE = 64
 
 
 class _IndexLists:
@@ -446,14 +525,25 @@ class _IndexLists:
     one included, then reads None or lies past the end, and the lookup or
     the join fails.  The table then grows, at least doubling, to the widest
     index seen, up to ``_INDEX_TABLE_LIMIT``; an array it cannot hold (a
-    negative or wider index) is written one ``str`` at a time.
+    negative or wider index) is written one ``str`` at a time.  The text of
+    a short array is kept, by its bytes, for the next array equal to it.
     """
 
     def __init__(self):
         self.size = 0
         self.table = np.empty(0, dtype=object)
+        self.memo = {}
 
     def __call__(self, idx: np.ndarray) -> str:
+        if idx.size > _INDEX_MEMO_SIZE:
+            return self._text(idx)
+        key = idx.tobytes()
+        text = self.memo.get(key)
+        if text is None:
+            text = self.memo[key] = self._text(idx)
+        return text
+
+    def _text(self, idx: np.ndarray) -> str:
         try:
             return "[" + ", ".join(self.table[idx].tolist()) + "]"
         except (IndexError, TypeError):
@@ -463,34 +553,36 @@ class _IndexLists:
             return "[" + ", ".join(map(str, idx.tolist())) + "]"
         self.size = min(max(2 * self.size, need), _INDEX_TABLE_LIMIT)
         self.table = np.array(list(map(str, range(self.size))) + [None] * self.size, dtype=object)
-        return self(idx)
+        return self._text(idx)
 
 
 def write_explanation_report(
-    records: list[ExplanationRecord],
+    records: list[ExplanationRecord] | RecordColumns,
     path,
     skipped_out_of_domain: int = 0,
     note: str | None = None,
 ) -> None:
-    """Write one JSON record per line plus a trailing aggregate object.
+    """Write one JSON record per line plus a trailing aggregate object, from
+    a list of records or their columns.
 
     Each record line has the bytes of ``json.dumps`` of its fields in field
     order; the index list is written from the record's index array.
     """
+    columns = _as_columns(records)
     aggregate = {
-        "by_group": aggregate_records(records),
+        "by_group": aggregate_records(columns),
         "skipped_out_of_domain": skipped_out_of_domain,
     }
     if note is not None:
         aggregate["note"] = note
-    index_list = _IndexLists()
+    templates, index_list = _LineTemplates(), _IndexLists()
     with Path(path).open("w") as fh:
-        for start in range(0, len(records), _WRITE_CHUNK):
-            chunk = records[start : start + _WRITE_CHUNK]
-            columns = [_json_column(column) for column in zip(*map(_scalar_values, chunk))]
-            fh.writelines(map(
-                _RECORD_LINE.format, *columns, (index_list(record.index_array) for record in chunk)
-            ))
+        for start in range(0, len(columns), _WRITE_CHUNK):
+            chunk = {name: column[start : start + _WRITE_CHUNK] for name, column in columns.fields.items()}
+            lines = templates([chunk[name] for name in _TEMPLATE_KEYS])
+            texts = [_json_column(chunk[name]) for name in _FILLED_FIELDS if name != "indices"]
+            texts.insert(_FILLED_FIELDS.index("indices"), map(index_list, chunk["indices"]))
+            fh.writelines(map(operator.mod, lines, zip(*texts)))
         fh.write(json.dumps({"aggregate": aggregate}) + "\n")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -55,11 +56,17 @@ class Label(Enum):
     NEGATIVE = "NEGATIVE"
     REJECT = "REJECT"
 
+    # Members are singletons, so they hash by identity; ``Enum``'s own
+    # ``__hash__`` is a Python call on every dict lookup of a row's label.
+    __hash__ = object.__hash__
+
 
 class ExplanationKind(Enum):
     POSITIVE = "POSITIVE"
     NEGATIVE = "NEGATIVE"
     REJECTION = "REJECTION"
+
+    __hash__ = object.__hash__
 
 
 _KIND_FOR_LABEL = {
@@ -241,10 +248,16 @@ class _IndexField:
         return value
 
     def __set__(self, obj, value):
-        # A flat intp array is what ``_as_index_array`` makes of one anyway.
-        if not (value.__class__ is np.ndarray and value.dtype == np.intp and value.ndim == 1):
-            value = _as_index_array(value)
-        obj.__dict__["indices"] = value
+        obj.__dict__["indices"] = _index_value(value)
+
+
+def _index_value(value) -> np.ndarray:
+    """What an index-set field keeps of ``value``: a flat intp array as it
+    is (what ``_as_index_array`` would make of it anyway), anything else
+    through ``_as_index_array``."""
+    if value.__class__ is np.ndarray and value.dtype == np.intp and value.ndim == 1:
+        return value
+    return _as_index_array(value)
 
 
 @property
@@ -255,7 +268,7 @@ def _index_array(self) -> np.ndarray:
     return value if isinstance(value, np.ndarray) else np.array(value, dtype=np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Explanation:
     """A set of pinned feature indices sufficient to lock in a prediction.
 
@@ -269,12 +282,16 @@ class Explanation:
 
     index_array = _index_array
 
-    def __post_init__(self):
-        idx = self.index_array
+    # Written out, filling ``__dict__``: the generated frozen ``__init__``
+    # sets each field through ``object.__setattr__``, which costs more than
+    # the rest of a small explanation.
+    def __init__(self, indices, kind: ExplanationKind, certified_minimum: bool):
+        idx = _index_value(indices)
         if (idx[1:] <= idx[:-1]).any():
             raise ValueError("explanation indices must be sorted and duplicate-free")
         if idx.size and idx[0] < 0:
             raise ValueError("explanation indices must be non-negative")
+        self.__dict__.update(indices=idx, kind=kind, certified_minimum=certified_minimum)
 
     @property
     def size(self) -> int:
@@ -315,7 +332,7 @@ def predict(clf: RejectClassifier, instance: Instance) -> Prediction:
     return Prediction(label_for_score(s, clf.t_minus, clf.t_plus), s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoverProblem:
     """One instance's explanation problem, built once by :func:`cover_problem`.
 
@@ -338,6 +355,15 @@ class CoverProblem:
     ceiling: float
     floor: float
     work: tuple[np.ndarray, np.ndarray] = field(repr=False)  # the greedy's rows: one thread at a time
+
+    # Written out, filling ``__dict__``, as ``Explanation``'s is.
+    def __init__(self, label: Label, kind: ExplanationKind, score: float, gain_up: np.ndarray,
+                 gain_down: np.ndarray, top: float, bottom: float, ceiling: float, floor: float,
+                 work: tuple[np.ndarray, np.ndarray]):
+        self.__dict__.update(
+            label=label, kind=kind, score=score, gain_up=gain_up, gain_down=gain_down, top=top,
+            bottom=bottom, ceiling=ceiling, floor=floor, work=work,
+        )
 
     def expect(self, kind: ExplanationKind) -> "CoverProblem":
         """This problem, once its label is known to call for ``kind``."""
@@ -370,20 +396,16 @@ class CoverProblem:
     def verdict(self, idx: np.ndarray) -> tuple[bool, bool]:
         """``(holds, tight)`` of pinning ``idx`` (sorted, unique, in range), from
         one bound pair: whether it forces the label, and whether a bound then
-        sits within the tolerance of its limit.  A side with an infinite
-        limit always holds and is never tight, so an accepted label's
-        verdict reads its constrained side alone."""
+        sits within the tolerance of its limit (:func:`_verdict`).  A side
+        with an infinite limit always holds and is never tight, so an
+        accepted label's verdict sums its constrained side alone."""
         if self.label is Label.POSITIVE:
-            smin = float(self.bottom + self.gain_down[idx].sum())
-            return smin >= self.floor - DEFAULT_EPSILON, abs(smin - self.floor) <= DEFAULT_EPSILON
-        if self.label is Label.NEGATIVE:
-            smax = float(self.top - self.gain_up[idx].sum())
-            return smax <= self.ceiling + DEFAULT_EPSILON, abs(smax - self.ceiling) <= DEFAULT_EPSILON
-        smax, smin = self._bounds(idx)
-        return (
-            smax <= self.ceiling + DEFAULT_EPSILON and smin >= self.floor - DEFAULT_EPSILON,
-            abs(smax - self.ceiling) <= DEFAULT_EPSILON or abs(smin - self.floor) <= DEFAULT_EPSILON,
-        )
+            smax, smin = self.top, float(self.bottom + self.gain_down[idx].sum())
+        elif self.label is Label.NEGATIVE:
+            smax, smin = float(self.top - self.gain_up[idx].sum()), self.bottom
+        else:
+            smax, smin = self._bounds(idx)
+        return _verdict(smax, smin, self.ceiling, self.floor)
 
     def holds(self, idx: np.ndarray) -> bool:
         """Whether pinning ``idx`` forces the label: the one validity test."""
@@ -392,6 +414,47 @@ class CoverProblem:
     def tight(self, idx: np.ndarray) -> bool:
         """Whether a bound with ``idx`` pinned sits within the tolerance of its limit."""
         return self.verdict(idx)[1]
+
+
+def _verdict(smax, smin, ceiling, floor):
+    """``(holds, tight)`` of the bounds ``smax`` and ``smin`` against the limits
+    ``ceiling`` and ``floor``: the one validity formula, for floats and,
+    element by element, for arrays."""
+    eps = DEFAULT_EPSILON
+    return (
+        (smax <= ceiling + eps) & (smin >= floor - eps),
+        (abs(smax - ceiling) <= eps) | (abs(smin - floor) <= eps),
+    )
+
+
+# Side by side, the gain rows up and down of each gathered row.
+_SIDES = np.array([[0], [1]])
+
+
+def block_verdicts(
+    block: np.ndarray, rows: list[int], sets: list[np.ndarray], ceiling: np.ndarray, floor: np.ndarray,
+    top: float, bottom: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`CoverProblem.verdict` of pinning ``sets[k]`` (sorted, unique,
+    in range) in the problem of row ``rows[k]`` of a block from
+    :func:`cover_problem_blocks`, whose limits are ``ceiling[k]`` and
+    ``floor[k]``, as two boolean arrays ``(holds, tight)``.
+
+    Sets of one size are checked together.  Their gains are gathered into a
+    C-ordered ``(g, 2, k)`` array, so each sum has the bits of the row's own
+    ``gain[idx].sum()``.  A free side's limit is infinite, so summing its
+    gains too changes no verdict.
+    """
+    sums = np.zeros((len(sets), 2))
+    if sets:
+        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        starts = np.cumsum(sizes) - sizes
+        flat, rows = np.concatenate(sets), np.asarray(rows)
+        order = np.argsort(sizes, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+            idx = flat[starts[group, None] + np.arange(sizes[group[0]])]
+            sums[group] = block[rows[group, None, None], _SIDES, idx[:, None, :]].sum(axis=2)
+    return _verdict(top - sums[:, 0], bottom + sums[:, 1], ceiling, floor)
 
 
 def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
@@ -405,7 +468,8 @@ def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
     beta = np.multiply(model.weights, instance.values, block[2])
     np.subtract(model.alpha_max, beta, block[0])
     np.subtract(beta, model.alpha_min, block[1])
-    return _labelled(clf, float(score_from_products(beta, model.bias)), block)
+    s = float(score_from_products(beta, model.bias))
+    return _problem(clf, label_for_score(s, clf.t_minus, clf.t_plus), s, block)
 
 
 # The most bytes of gains and work rows that ``cover_problem_blocks`` holds at once:
@@ -415,12 +479,9 @@ def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
 _BLOCK_BYTES = 1 << 19
 
 
-def cover_problem_blocks(
-    clf: RejectClassifier, rows
-) -> Iterator[tuple[np.ndarray, list[CoverProblem | None]]]:
+def cover_problem_blocks(clf: RejectClassifier, rows) -> Iterator[tuple[np.ndarray, "BlockProblems"]]:
     """The rows of the matrix ``rows`` a block at a time: each block's
-    ``(r, 4, n)`` array and the cover problem of each of its ``r`` rows, or
-    None for a row outside the model's domains.
+    ``(r, 4, n)`` array and the :class:`BlockProblems` of its ``r`` rows.
 
     Blocks of rows are checked, multiplied, scored and given their gains with
     whole-block operations; each problem is a view of its own rows of its
@@ -449,16 +510,34 @@ def cover_problem_blocks(
             np.subtract(model.alpha_max, beta, block[:, 0])
             np.subtract(beta, model.alpha_min, block[:, 1])
             scores = score_from_products(beta, model.bias).tolist()
-        yield block, [
-            None if out else _labelled(clf, s, row_block)
-            for row_block, s, out in zip(block, scores, outside)
+        labels = [
+            None if out else label_for_score(s, clf.t_minus, clf.t_plus) for s, out in zip(scores, outside)
         ]
+        yield block, BlockProblems(clf, block, scores, labels)
 
 
-def _labelled(clf: RejectClassifier, s: float, block: np.ndarray) -> CoverProblem:
-    """The problem of a row scored ``s``, whose ``(4, n)`` block holds its
-    gains up and down, then its ``w*x`` and a spare row (the work rows)."""
-    label = label_for_score(s, clf.t_minus, clf.t_plus)
+class BlockProblems(Sequence):
+    """The cover problems of a block's rows, as a sequence: item ``i`` is row
+    ``i``'s :class:`CoverProblem`, made when it is read, or None for a row
+    outside the model's domains.  ``scores[i]`` and ``labels[i]`` (None
+    outside the domains) are read without making it."""
+
+    def __init__(self, clf: RejectClassifier, block: np.ndarray, scores: list[float],
+                 labels: list[Label | None]):
+        self.clf, self.block, self.scores, self.labels = clf, block, scores, labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> CoverProblem | None:
+        label = self.labels[i]
+        return None if label is None else _problem(self.clf, label, self.scores[i], self.block[i])
+
+
+def _problem(clf: RejectClassifier, label: Label, s: float, block: np.ndarray) -> CoverProblem:
+    """The problem of a row labelled ``label`` and scored ``s``, whose
+    ``(4, n)`` block holds its gains up and down, then its ``w*x`` and a
+    spare row (the work rows)."""
     if label is Label.POSITIVE:
         ceiling, floor = np.inf, clf.t_plus
     elif label is Label.NEGATIVE:

@@ -1,9 +1,12 @@
-"""The block step: ``explain_block`` settles what whole-block kernels can,
-and ``explain_instance`` must then give every row the records, and raise
-the errors, that it gives the row explained on its own."""
+"""The block step: ``explain_block`` settles and checks what whole-block
+kernels can, ``explain_instance`` explains what it left open, and the CLI's
+row loop must then give every row the records, and raise the errors, that
+it gives the row explained on its own."""
 
 import collections
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from minaxp import (
     explain_instance,
     save_model,
     unit_box,
+    write_explanation_report,
 )
 from minaxp.classified import greedy_block
 
@@ -32,37 +36,57 @@ from conftest import BOUNDARY_CASES, boundary_case, write_csv
 
 METHODS = ("minabro", "baseline", "both")
 
+spec = importlib.util.spec_from_file_location(
+    "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+)
+report_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_diff)
 
-def _outcome(call):
-    """The records of ``call()`` with ``time_ms`` zeroed, or its error."""
-    try:
-        return [dataclasses.replace(r, time_ms=0.0) for r in call()]
-    except ValueError as exc:
-        return type(exc), str(exc)
+
+def _zeroed(records):
+    return [dataclasses.replace(r, time_ms=0.0) for r in records]
+
+
+def _alone(clf, X, method, **limits):
+    """The records of every in-domain row of ``X`` explained on its own, the
+    number of rows skipped, and the first row's error (type and message) or
+    None; no row after a failing one is explained."""
+    records, skipped = [], 0
+    for i, x in enumerate(X):
+        try:
+            records += explain_instance(clf, Instance(x), i, method=method, **limits)
+        except DomainError:
+            skipped += 1
+        except ValueError as exc:
+            return records, skipped, (type(exc), str(exc))
+    return records, skipped, None
 
 
 def _compare(clf, X, method, **limits):
-    """Each in-domain row of ``X`` explained through its block and on its
-    own; returns the number of records the block settled."""
-    settled_records = 0
-    instance_id = 0
+    """The rows of ``X`` explained through the CLI's row loop and each on its
+    own: the same records, ``time_ms`` aside, and the same skipped count, or
+    the same first error.  Returns the number of records the block step
+    settled, counted from ``explain_block``'s checked sets."""
+    alone, skipped, error = _alone(clf, X, method, **limits)
+    try:
+        columns, skipped_here = cli._explain_matrix(clf, X, method, **limits)
+    except ValueError as exc:
+        assert (type(exc), str(exc)) == error
+    else:
+        assert error is None
+        assert _zeroed(map(ExplanationRecord, *columns.fields.values())) == _zeroed(alone)
+        assert skipped_here == skipped
+    settled = 0
     for block, problems in model_module.cover_problem_blocks(clf, X):
-        settled = explain.explain_block(block, problems, method)
-        assert len(settled) == len(problems)
-        for problem, found in zip(problems, settled):
-            alone = _outcome(lambda: explain_instance(
-                clf, Instance(X[instance_id]), instance_id, method=method, **limits))
-            if problem is None:
-                assert alone[0] is DomainError
-            else:
-                got = _outcome(lambda: explain_instance(
-                    clf, problem, instance_id, method=method, settled=found, **limits))
-                assert got == alone, instance_id
-                settled_records += sum(
-                    isinstance(idx, np.ndarray) and problem.holds(idx) for idx, *_ in found.values()
-                )
-            instance_id += 1
-    return settled_records
+        found = explain.explain_block(block, problems, method)
+        live = [p for p in problems if p is not None]
+        for records in found.values():
+            assert {len(records.indices), len(records.time_ms), len(records.nodes)} == {len(live)}
+            for problem, idx in zip(live, records.indices):
+                if isinstance(idx, np.ndarray):
+                    assert problem.holds(idx)
+                    settled += 1
+    return settled
 
 
 def _rows(seed, n, rows, half_band, zero_every=0):
@@ -236,16 +260,20 @@ def test_block_sizes(monkeypatch, method, size):
     assert (_compare(clf, X, method) > 0) is (size == "the constant")
 
 
-def test_settled_records_keep_the_kernels_index_arrays():
+def test_settled_records_keep_the_kernels_index_arrays(monkeypatch):
     clf, X = _rows(1, 24, 100, 0.5)
-    block, problems = next(model_module.cover_problem_blocks(clf, X))
-    settled = explain.explain_block(block, problems, "both")
-    for i, (problem, found) in enumerate(zip(problems, settled)):
-        for record in explain_instance(clf, problem, i, method="both", settled=found):
-            idx = found[record.method][0]
-            if isinstance(idx, np.ndarray) and problem.holds(idx):
-                assert record.index_array is idx
-                assert record.time_ms == found[record.method][3]
+    found = []
+    real = cli.explain_block
+    monkeypatch.setattr(cli, "explain_block", lambda *a: found.append(real(*a)) or found[-1])
+    columns, _ = cli._explain_matrix(clf, X, "both")
+    (block,) = found
+    kept = 0
+    for j, (name, idx, time_ms) in enumerate(zip(*map(columns.fields.get, ("method", "indices", "time_ms")))):
+        settled = block[name].indices[j // 2]
+        if isinstance(settled, np.ndarray):
+            assert idx is settled and time_ms == block[name].time_ms[j // 2]
+            kept += 1
+    assert kept > 150
 
 
 def test_index_field_keeps_a_flat_intp_array_and_converts_the_rest():
@@ -315,3 +343,100 @@ def test_failing_row_exits_2_with_its_own_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not report.exists()
+
+
+def _cli_against_rows(tmp_path, capsys, clf, X, command="explain", method="both", node_limit=None,
+                      limit=None, repeats=None):
+    """``minaxp COMMAND`` on the rows ``X`` against each row explained on its
+    own with ``explain_instance`` and written by ``write_explanation_report``:
+    the same report, timing fields aside, or the same exit 2 and message."""
+    model, data = tmp_path / "model.json", tmp_path / "rows.csv"
+    save_model(ModelBundle(clf.model, clf.t_minus, clf.t_plus), model)
+    write_csv(data, X, np.ones(X.shape[0], dtype=int))
+    report, expected_report = tmp_path / "report.jsonl", tmp_path / "expected.jsonl"
+    argv = [command, "--model", str(model), "--data", str(data), "--method", method, "--out-report", str(report)]
+    limits = {}
+    if node_limit is not None:
+        argv += ["--node-limit", str(node_limit)]
+        limits["node_limit"] = node_limit
+    argv += [] if limit is None else ["--limit", str(limit)]
+    argv += [] if repeats is None else ["--repeats", str(repeats)]
+    alone, skipped, error = _alone(clf, X[:limit], method, **limits)
+    capsys.readouterr()
+    code = cli.main(argv)
+    stderr = capsys.readouterr().err
+    if error is not None:
+        assert (code, stderr) == (cli.EXIT_INPUT_ERROR, f"error: {error[1]}\n")
+        return None
+    assert code == 0, stderr
+    note = None
+    if command == "benchmark" and repeats == 1:
+        note = "single repeat: per-instance timing spread undefined, medians equal the one sample"
+    write_explanation_report(alone, expected_report, skipped_out_of_domain=skipped, note=note)
+    lines = [path.read_text().splitlines() for path in (expected_report, report)]
+    assert report_diff.first_difference(*lines) is None
+    return collections.Counter(record.label for record in alone)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("options", [
+    {}, {"node_limit": 0}, {"node_limit": 1}, {"limit": 150},
+    {"command": "benchmark", "repeats": 2}, {"command": "benchmark", "repeats": 1},
+], ids=["explain", "node-limit-0", "node-limit-1", "limit", "benchmark-repeats-2", "benchmark-repeats-1"])
+def test_cli_report_equals_the_rows_explained_alone(tmp_path, capsys, method, options):
+    # All three labels and every solver path, with rows outside the domains
+    # inside the block, ahead of the limit and behind it.
+    clf, X = _rows(1, 24, 400, 0.5, zero_every=7)
+    X[[0, 77, 149, 150, 301], [3, 0, 11, 6, 23]] = [1.5, -0.25, 2.0, 1.0 + 1e-9, -1e-9]
+    labels = _cli_against_rows(tmp_path, capsys, clf, X, method=method, **options)
+    assert min(labels[label.value] for label in Label) >= 20, labels
+
+
+@pytest.mark.parametrize("case", range(len(BOUNDARY_CASES)), ids=BOUNDARY_CASES)
+def test_cli_report_equals_the_rows_explained_alone_on_boundary_rows(tmp_path, capsys, monkeypatch, case):
+    # A row on a threshold, at three places in a block of rows drawn over the
+    # same domains: the CLI writes the rows' own records or stops at the
+    # row's own error.  Some of the block's sets fail its check, and their
+    # rows go to their own explainers.
+    failed = []
+    real = explain.block_verdicts
+
+    def counted(*args):
+        holds, tight = real(*args)
+        failed.append(int(np.count_nonzero(~holds)))
+        return holds, tight
+
+    monkeypatch.setattr(explain, "block_verdicts", counted)
+    rng = np.random.default_rng(23 + case)
+    outcomes = collections.Counter()
+    for _ in range(12):
+        clf, instance = boundary_case(rng, case)
+        X = rng.uniform(0.0, 1e4, (2 * explain._BLOCK_ROWS, instance.values.size))
+        X[[3, 40, 63]] = instance.values
+        outcomes[_cli_against_rows(tmp_path, capsys, clf, X) is None] += 1
+    assert outcomes[False] >= 3 and sum(failed) >= 3, (outcomes, failed)
+
+
+@pytest.mark.parametrize("case", range(len(BOUNDARY_CASES)), ids=BOUNDARY_CASES)
+def test_block_verdicts_equal_the_verdict_on_boundary_rows(case):
+    # Every set size, on rows whose bounds round by more than the tolerance:
+    # each (holds, tight) pair of the block check is the row's own.
+    rng = np.random.default_rng(31 + case)
+    seen = collections.Counter()
+    for _ in range(100):
+        clf, instance = boundary_case(rng, case)
+        n = instance.values.size
+        block, problems = next(model_module.cover_problem_blocks(clf, np.tile(instance.values, (3, 1))))
+        sets = [np.arange(n), np.empty(0, dtype=np.intp)] + [
+            np.sort(rng.choice(n, size, replace=False)) for size in rng.integers(0, n + 1, 10)
+        ]
+        rows = rng.integers(0, 3, len(sets))
+        problem = problems[0]
+        holds, tight = model_module.block_verdicts(
+            block, rows, sets, np.full(len(sets), problem.ceiling), np.full(len(sets), problem.floor),
+            problem.top, problem.bottom,
+        )
+        for idx, verdict in zip(sets, zip(holds.tolist(), tight.tolist())):
+            assert verdict == problem.verdict(idx)
+            seen[verdict] += 1
+    assert len(seen) >= 3, seen

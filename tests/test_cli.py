@@ -491,22 +491,48 @@ class TestRowBlocks:
         assert calls == [i for i in explained for _ in range(2 if command == "benchmark" else 1)]
 
     @pytest.mark.parametrize("command", ["explain", "benchmark"])
-    def test_one_explain_instance_call_per_row_and_repeat(self, tmp_path, monkeypatch, command):
-        # The block step settles rows before explain_instance runs, yet each
-        # explained row still costs one explain_instance call per repeat: a
-        # tracer that counts those calls counts the rows.
-        clf, X, model_path, data = self._files(tmp_path, n_rows=100)
-        calls, blocks = [], []
+    def test_explain_instance_runs_for_open_rows_only(self, tmp_path, monkeypatch, command):
+        # One block of 200 rows on 24 features, two of them outside the
+        # domains: explain_instance runs exactly for the rows the block step
+        # left open (a rejected row that needs the search), once per repeat,
+        # and every row's record, settled or not, is the one the row gets on
+        # its own.
+        rng = np.random.default_rng(1)
+        weights = rng.uniform(-1.0, 1.0, 24)
+        weights[::7] = 0.0
+        model = LinearModel(weights, -0.5 * float(weights.sum()), unit_box(24))
+        clf = RejectClassifier(model, -0.5, 0.5)
+        X = rng.uniform(0.0, 1.0, (200, 24))
+        X[[5, 60], [3, 10]] = [1.5, -0.5]
+        model_path, data, report = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "report.jsonl"
+        save_model(ModelBundle(model, clf.t_minus, clf.t_plus), model_path)
+        write_csv(data, X, np.ones(200, dtype=int))
         explain, explain_block = cli.explain_instance, cli.explain_block
+        calls, left = [], []
+
+        def block_step(*args):
+            found = explain_block(*args)
+            left.append(sorted({k for records in found.values()
+                                for k, idx in enumerate(records.indices) if not isinstance(idx, np.ndarray)}))
+            return found
+
         monkeypatch.setattr(cli, "explain_instance", lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
-        monkeypatch.setattr(cli, "explain_block", lambda *a, **k: blocks.append(explain_block(*a, **k)) or blocks[-1])
-        argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
-                "--out-report", str(tmp_path / "report.jsonl")]
+        monkeypatch.setattr(cli, "explain_block", block_step)
         repeats = 2 if command == "benchmark" else 1
+        argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
+                "--out-report", str(report)]
         assert cli.main(argv + (["--repeats", "2"] if repeats == 2 else [])) == 0
-        explained = [i for i in range(100) if i not in (2, 3, 7)]
-        assert calls == [i for i in explained for _ in range(repeats)]
-        assert len(blocks) == repeats and sum(map(bool, blocks[0])) == len(explained)
+        explained = [i for i in range(200) if i not in (5, 60)]
+        assert len(left) == repeats and left.count(left[0]) == repeats
+        open_rows = [explained[k] for k in left[0]]
+        assert 3 <= len(open_rows) <= len(explained) // 4, open_rows
+        assert calls == [i for i in open_rows for _ in range(repeats)]
+        records, aggregate = read_explanation_report(report)
+        expected = [r for i in explained for r in explain(clf, Instance(X[i]), i, method="both")]
+        assert [dataclasses.replace(r, time_ms=0.0) for r in records] == [
+            dataclasses.replace(r, time_ms=0.0) for r in expected
+        ]
+        assert aggregate["skipped_out_of_domain"] == 2
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "constant-scaled-column"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -247,5 +247,5 @@ def test_benchmark_records_equal_explain_records_but_time(tmp_path):
     assert {"POSITIVE", "NEGATIVE", "REJECT"} <= labels
 
     args = cli.build_parser().parse_args(["benchmark", *source, "--out-report", str(benchmarked)])
-    records, _ = cli._explain_rows(args, repeats=2)
-    assert all(isinstance(vars(r)["indices"], np.ndarray) for r in records)
+    columns, _ = cli._explain_rows(args, repeats=2)
+    assert len(columns) == 48 and all(isinstance(idx, np.ndarray) for idx in columns.fields["indices"])
