@@ -1,5 +1,9 @@
 """Command line entry point: train, calibrate, explain, verify, benchmark.
 
+``explain``, ``benchmark`` and ``verify`` explain their rows a block at a
+time, each block's records coming whole from ``explain.explain_block``;
+``verify`` checks those records against brute force.
+
 Exit codes: 0 on success, 2 on input or usage errors, 3 when verification
 finds a mismatch.  All randomness flows from the --seed flag; given the same
 seed and inputs every command is deterministic (timings excepted).
@@ -31,12 +35,10 @@ from .dataio import (
     save_model,
     write_explanation_report,
 )
-from .explain import METHODS, BlockRecords, explain_block, explain_instance, method_names
-from .model import (
-    _KIND_FOR_LABEL, DEFAULT_EPSILON, DomainError, Instance, Label, cover_problem_blocks, score_from_products,
-)
+from .explain import METHODS, explain_block
+from .model import DEFAULT_EPSILON, Instance, Label, cover_problem_blocks, score_from_products
 from .oracle import MAX_ORACLE_FEATURES, brute_force_minimum, random_case
-from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchRoot
+from .rejected import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -217,6 +219,9 @@ def _instances_from_args(args, bundle) -> np.ndarray:
             values = np.asarray(payload, dtype=float)
         except OverflowError:
             raise ValueError("--instance-json: a value is too large for a float") from None
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"--instance-json: value {int(np.argmin(finite))} is not finite")
         if bundle.scaling is not None:
             values = bundle.scaling.transform(values)
         return values[None, :][: args.limit]
@@ -244,76 +249,17 @@ def _explain_rows(args, repeats: int = 1) -> tuple[RecordColumns, int]:
 def _explain_matrix(clf, rows: np.ndarray, method: str, node_limit: int = DEFAULT_NODE_LIMIT,
                     time_limit: float = DEFAULT_TIME_LIMIT, repeats: int = 1) -> tuple[RecordColumns, int]:
     """Explain every row of ``rows`` ``repeats`` times over, a block of rows
-    at a time: ``explain_block`` settles and checks what it can for the whole
-    block, and ``explain_instance`` explains each row it left open.  The
-    records are kept as columns.  With several repeats each record's
-    ``time_ms`` is the median of its repeats'.  Returns the records and the
-    number of out-of-domain rows skipped."""
-    names = method_names(method)
-    # Each in-domain row's id, label and score, and what each method found for it.
-    ids, labels, scores = [], [], []
-    kept = {name: BlockRecords([], [], [], [], []) for name in names}
-    skipped = 0
-    first = 0
-    for block, problems in cover_problem_blocks(clf, rows):
-        runs = [explain_block(block, problems, method) for _ in range(repeats)]
-        live = [i for i, label in enumerate(problems.labels) if label is not None]
-        skipped += len(problems) - len(live)
-        found = runs[0]
-        for k, i in enumerate(live):
-            left = [name for name in names if found[name].indices[k].__class__ is not np.ndarray]
-            if not left:
-                continue
-            for run in runs:
-                root = run[left[0]].indices[k]
-                for record in explain_instance(
-                    clf,
-                    problems[i],
-                    first + i,
-                    method=method if len(left) == len(names) else left[0],
-                    node_limit=node_limit,
-                    time_limit=time_limit,
-                    root=root if isinstance(root, SearchRoot) else None,
-                ):
-                    run[record.method].fill(k, record)
-        for name in names:
-            if repeats > 1:
-                found[name].time_ms = list(map(statistics.median, zip(*(run[name].time_ms for run in runs))))
-            kept[name].extend(found[name])
-        ids += [first + i for i in live]
-        labels += [problems.labels[i] for i in live]
-        scores += [problems.scores[i] for i in live]
-        first += len(problems)
-    columns = RecordColumns()
-    columns.extend(
-        instance_id=_interleave([ids] * len(names)),
-        label=_interleave([list(map(_LABEL_TEXT.__getitem__, labels))] * len(names)),
-        score=_interleave([scores] * len(names)),
-        kind=_interleave([list(map(_KIND_TEXT.__getitem__, labels))] * len(names)),
-        indices=_interleave([kept[name].indices for name in names]),
-        size=_interleave([list(map(len, kept[name].indices)) for name in names]),
-        certified_minimum=_interleave([kept[name].certified_minimum for name in names]),
-        method=_interleave([[name] * len(ids) for name in names]),
-        time_ms=_interleave([kept[name].time_ms for name in names]),
-        nodes=_interleave([kept[name].nodes for name in names]),
-        boundary_tight=_interleave([kept[name].boundary_tight for name in names]),
-    )
+    at a time (``explain.explain_block``).  With several repeats each
+    record's ``time_ms`` is the median of its repeats'.  Returns the records,
+    as columns, and the number of out-of-domain rows skipped."""
+    columns, skipped = RecordColumns(), 0
+    for problems in cover_problem_blocks(clf, rows):
+        runs = [explain_block(problems, method, node_limit, time_limit) for _ in range(repeats)]
+        if repeats > 1:
+            runs[0].fields["time_ms"] = list(map(statistics.median, zip(*(run.fields["time_ms"] for run in runs))))
+        columns.extend(**runs[0].fields)
+        skipped += problems.labels.count(None)
     return columns, skipped
-
-
-# Report texts by label, read without ``Enum.value``'s per-read cost.
-_LABEL_TEXT = {label: label.value for label in Label}
-_KIND_TEXT = {label: kind.value for label, kind in _KIND_FOR_LABEL.items()}
-
-
-def _interleave(columns: list[list]) -> list:
-    """One list of the items of equal-length ``columns``, row by row."""
-    if len(columns) == 1:
-        return columns[0]
-    out = [None] * sum(map(len, columns))
-    for j, column in enumerate(columns):
-        out[j :: len(columns)] = column
-    return out
 
 
 def cmd_explain(args) -> int:
@@ -325,35 +271,39 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _verify_cases(cases) -> tuple[int, int, int, int]:
-    """Brute-force agreement over ``(clf, instance)`` pairs, as classified ok,
-    classified total, rejected ok and rejected total.  Each pair counts under
-    the label of the record ``explain`` writes, and agrees when that record is
-    certified and of the minimum size; out-of-domain rows are skipped."""
-    classified_ok = classified_total = rejected_ok = rejected_total = 0
-    for clf, instance in cases:
-        try:
-            (record,) = explain_instance(clf, instance, 0)
-        except DomainError:
-            continue
-        ok = record.certified_minimum and record.size == brute_force_minimum(clf, instance).size
-        if record.label == Label.REJECT.value:
-            rejected_total += 1
-            rejected_ok += ok
-        else:
-            classified_total += 1
-            classified_ok += ok
-    return classified_ok, classified_total, rejected_ok, rejected_total
+def _verify_cases(cases) -> tuple[int, int, int, int, int]:
+    """Brute-force agreement over ``(clf, rows)`` pairs, as classified ok,
+    classified total, rejected ok, rejected total and out-of-domain rows
+    skipped.  The rows are explained as ``explain`` explains them
+    (:func:`_explain_matrix`); each record counts under its label, and
+    agrees when it is certified and of the minimum size."""
+    classified_ok = classified_total = rejected_ok = rejected_total = skipped = 0
+    for clf, rows in cases:
+        columns, skipped_here = _explain_matrix(clf, rows, "minabro")
+        skipped += skipped_here
+        for row, label, size, certified in zip(
+            *map(columns.fields.get, ("instance_id", "label", "size", "certified_minimum"))
+        ):
+            ok = certified and size == brute_force_minimum(clf, Instance(rows[row])).size
+            if label == Label.REJECT.value:
+                rejected_total += 1
+                rejected_ok += ok
+            else:
+                classified_total += 1
+                classified_ok += ok
+    return classified_ok, classified_total, rejected_ok, rejected_total, skipped
 
 
 def _random_cases(args):
     rng = np.random.default_rng(args.seed)
     for i in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
-        yield random_case(rng, n, Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
+        clf, instance = random_case(rng, n, Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
+        yield clf, instance.values[None, :]
     for _ in range(args.cases):
         n = int(rng.integers(2, args.max_n + 1))
-        yield random_case(rng, n, Label.REJECT)
+        clf, instance = random_case(rng, n, Label.REJECT)
+        yield clf, instance.values[None, :]
 
 
 def _data_cases(args):
@@ -363,7 +313,7 @@ def _data_cases(args):
         raise ValueError(
             f"model has {clf.model.n_features} features; verification is capped at --max-n {args.max_n}"
         )
-    return ((clf, Instance(values)) for values in _data_rows(args, bundle, args.cases or None))
+    return [(clf, _data_rows(args, bundle, args.cases or None))]
 
 
 def cmd_verify(args) -> int:
@@ -377,8 +327,9 @@ def cmd_verify(args) -> int:
         print("warning: --cases 0, nothing verified")
         return EXIT_OK
     cases = _data_cases(args) if args.data is not None else _random_cases(args)
-    c_ok, c_total, r_ok, r_total = _verify_cases(cases)
-    print(f"{c_ok}/{c_total} classified, {r_ok}/{r_total} rejected agree with brute force")
+    c_ok, c_total, r_ok, r_total, skipped = _verify_cases(cases)
+    print(f"{c_ok}/{c_total} classified, {r_ok}/{r_total} rejected agree with brute force, "
+          f"skipped {skipped} out-of-domain")
     if c_ok != c_total or r_ok != r_total:
         print("verification FAILED: explanation size does not match the brute-force minimum", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -5,24 +5,24 @@ and the branch-and-bound program for rejected ones; "baseline" runs the
 deletion-based subset-minimal explainer on every label.  No record leaves
 here unless ``CoverProblem.holds`` passes on its index set.
 
-:func:`explain_block` works out and checks, for a whole block of rows at
-once, the explanations that closed-form arithmetic settles;
-:func:`explain_instance` explains one row on its own, and so each row the
-block left open.
+:func:`explain_block` gives the report records of a block of rows: it works
+out and checks, for the whole block at once, the explanations that
+closed-form arithmetic settles, and :func:`explain_instance` explains each
+row the block left open, as it explains a row on its own.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import deletion_block, deletion_explanation
 from .classified import greedy_block, greedy_explanation
-from .dataio import ExplanationRecord
+from .dataio import ExplanationRecord, RecordColumns
 from .model import (
-    BlockProblems, CoverProblem, Instance, Label, RejectClassifier, block_verdicts, cover_problem,
+    _KIND_FOR_LABEL, BlockProblems, CoverProblem, Instance, Label, RejectClassifier, block_verdicts,
+    cover_problem,
 )
 from .rejected import (
     DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchRoot, root_block, solve_rejection_ilp,
@@ -38,6 +38,10 @@ METHODS = ("minabro", "baseline", "both")
 # even at 3 rows.  Blocks of 16,384 features hold one row each.
 _BLOCK_ROWS = 32
 
+# Report texts by label, read without ``Enum.value``'s per-read cost.
+_LABEL_TEXT = {label: label.value for label in Label}
+_KIND_TEXT = {label: kind.value for label, kind in _KIND_FOR_LABEL.items()}
+
 
 def method_names(method: str) -> tuple[str, ...]:
     """The explainers ``method`` runs, in the order their records are written."""
@@ -46,58 +50,75 @@ def method_names(method: str) -> tuple[str, ...]:
     return ("minabro", "baseline") if method == "both" else (method,)
 
 
-@dataclass
-class BlockRecords:
-    """What :func:`explain_block` settled with one explainer, as the report
-    fields of one record per in-domain row of the block, in row order.
+def explain_block(problems: BlockProblems, method: str = "minabro", node_limit: int = DEFAULT_NODE_LIMIT,
+                  time_limit: float = DEFAULT_TIME_LIMIT) -> RecordColumns:
+    """The report records of the in-domain rows of a block from
+    ``model.cover_problem_blocks``, as columns in report order: row by row,
+    and within a row in ``method_names`` order.
 
-    ``indices[k]`` is an index array that passed the check, or what is left
-    open: the ``SearchRoot`` of a rejected row that needs the search, or
-    None.  ``time_ms[k]`` is the row's share of its kernel's time.
+    Whole-block kernels settle what they can first (:func:`_settle`).  Then
+    each row they left open goes to :func:`explain_instance` in row order,
+    for the methods left open and with its ``SearchRoot``, and adds its own
+    explainer's time to the row's share of the kernels'.  The first row that
+    fails raises its own error.
     """
-
-    indices: list
-    certified_minimum: list[bool]
-    nodes: list[int | None]
-    time_ms: list[float]
-    boundary_tight: list[bool]
-
-    def extend(self, other: "BlockRecords") -> None:
-        """Append ``other``'s rows after these."""
-        for name, column in vars(self).items():
-            column += getattr(other, name)
-
-    def fill(self, k: int, record: ExplanationRecord) -> None:
-        """Take row ``k``'s fields from the record its own explainer made,
-        adding its time to the row's share."""
-        self.indices[k] = record.index_array
-        self.certified_minimum[k] = record.certified_minimum
-        self.nodes[k] = record.nodes
-        self.time_ms[k] += record.time_ms
-        self.boundary_tight[k] = record.boundary_tight
-
-
-def explain_block(block: np.ndarray, problems: BlockProblems, method: str = "minabro") -> dict[str, BlockRecords]:
-    """For the in-domain rows of a block from ``model.cover_problem_blocks``,
-    in row order, what whole-block kernels settle of each explainer that
-    ``method`` runs: the greedy's set of each accepted row, the solver's
-    answer of each rejected row that needs no branching (and the root of
-    each that does), and the first fit of every row.  Every set is checked
-    at once (``model.block_verdicts``); one that fails is left open.  Each
-    kernel's time is split evenly over the rows it ran on.  A label's need
-    and limits are read from its first row's problem, where
-    ``model.cover_problem_blocks`` fixed them for every row of the label.
-    Nothing here raises for a row: what fails is left open, and the row's
-    own explainer raises.
-    """
+    names = method_names(method)
+    m = len(names)
     live = [i for i, label in enumerate(problems.labels) if label is not None]
-    r = len(live)
-    found = {
-        name: BlockRecords([None] * r, [name == "minabro"] * r, [None] * r, [0.0] * r, [False] * r)
-        for name in method_names(method)
-    }
+    # Row k's record of names[j] is at k * m + j.
+    indices, nodes, time_ms, tight = _settle(problems, live, names)
+    certified = [name == "minabro" for name in names] * len(live)
+    # Each row the kernels left open, once, in row order.
+    for k in dict.fromkeys(at // m for at, idx in enumerate(indices) if idx.__class__ is not np.ndarray):
+        left = [j for j in range(m) if indices[k * m + j].__class__ is not np.ndarray]
+        root, i = indices[k * m + left[0]], live[k]
+        records = explain_instance(
+            problems.clf, problems[i], problems.start + i, method if len(left) == m else names[left[0]],
+            node_limit, time_limit, root if isinstance(root, SearchRoot) else None,
+        )
+        for j, record in zip(left, records):
+            at = k * m + j
+            indices[at], certified[at], nodes[at] = record.index_array, record.certified_minimum, record.nodes
+            time_ms[at] += record.time_ms
+            tight[at] = record.boundary_tight
+    labels = [problems.labels[i] for i in live]
+    columns = RecordColumns()
+    columns.extend(
+        instance_id=[problems.start + i for i in live for _ in names],
+        label=[_LABEL_TEXT[label] for label in labels for _ in names],
+        score=[problems.scores[i] for i in live for _ in names],
+        kind=[_KIND_TEXT[label] for label in labels for _ in names],
+        indices=indices,
+        size=list(map(len, indices)),
+        certified_minimum=certified,
+        method=list(names) * len(live),
+        time_ms=time_ms,
+        nodes=nodes,
+        boundary_tight=tight,
+    )
+    return columns
+
+
+def _settle(problems: BlockProblems, live: list[int], names: tuple[str, ...]):
+    """What whole-block kernels settle of the explainers ``names`` for the
+    in-domain rows ``live`` of a block: the greedy's set of each accepted
+    row, the solver's answer of each rejected row that needs no branching
+    (and the root of each that does), and the first fit of every row.  Every
+    set is checked at once (``model.block_verdicts``).  A block with fewer
+    than ``_BLOCK_ROWS`` such rows is left open whole.
+
+    Returns four columns in :func:`explain_block`'s report order: the index
+    array that passed the check, or what is left open (a ``SearchRoot`` or
+    None); ``nodes``; ``time_ms``, each kernel's time split evenly over the
+    rows it ran on; and ``boundary_tight``.  A label's need and limits are
+    read from its first row's problem, where ``model.cover_problem_blocks``
+    fixed them for every row of the label.  Nothing here raises for a row.
+    """
+    m, r = len(names), len(live)
+    indices, nodes, time_ms, tight = [None] * (r * m), [None] * (r * m), [0.0] * (r * m), [False] * (r * m)
     if r < _BLOCK_ROWS:
-        return found
+        return indices, nodes, time_ms, tight
+    block = problems.block
     by_label = {label: [] for label in Label}
     for k, i in enumerate(live):
         by_label[problems.labels[i]].append(k)
@@ -105,10 +126,9 @@ def explain_block(block: np.ndarray, problems: BlockProblems, method: str = "min
     ceilings, floors = np.empty(r), np.empty(r)
     for label, first in firsts.items():
         ceilings[by_label[label]], floors[by_label[label]] = first.ceiling, first.floor
-    checked = []  # (records, positions in live, their sets): the sets found, to check
-    times = {name: np.zeros(r) for name in found}
-    if "minabro" in found:
-        records = found["minabro"]
+    found_at, found = [], []  # the slots of the sets found, and the sets, to check
+    if "minabro" in names:
+        j = names.index("minabro")
         for label, first in firsts.items():
             ks = by_label[label]
             rows = [live[k] for k in ks]
@@ -120,33 +140,31 @@ def explain_block(block: np.ndarray, problems: BlockProblems, method: str = "min
             else:
                 sets = root_block(block[rows, 0], block[rows, 1], first.top, first.bottom,
                                   first.ceiling, first.floor)
-            times["minabro"][ks] = (time.perf_counter() - start) * 1000.0 / len(ks)
-            if label is Label.REJECT:
-                for k, idx in zip(ks, sets):
-                    records.nodes[k] = 0
+            share = (time.perf_counter() - start) * 1000.0 / len(ks)
+            for k, idx in zip(ks, sets):
+                time_ms[k * m + j] = share
+                if label is Label.REJECT:
+                    nodes[k * m + j] = 0
                     if isinstance(idx, SearchRoot):
-                        records.indices[k] = idx
-            picked = [j for j, idx in enumerate(sets) if idx.__class__ is np.ndarray]
-            checked.append((records, [ks[j] for j in picked], [sets[j] for j in picked]))
-    if "baseline" in found:
+                        indices[k * m + j] = idx
+                if idx.__class__ is np.ndarray:
+                    found_at.append(k * m + j)
+                    found.append(idx)
+    if "baseline" in names:
+        j = names.index("baseline")
         start = time.perf_counter()
-        kept = deletion_block(block[live, :2], np.array(problems.scores)[live], ceilings, floors)
-        times["baseline"][:] = (time.perf_counter() - start) * 1000.0 / r
-        checked.append((found["baseline"], list(range(r)), kept))
-    positions = np.concatenate([ks for _, ks, _ in checked]).astype(np.intp)
-    holds, tight = block_verdicts(
-        block, np.array(live)[positions], [idx for _, _, sets in checked for idx in sets],
-        ceilings[positions], floors[positions], problems.clf.model.top, problems.clf.model.bottom,
+        found += deletion_block(block[live, :2], np.array(problems.scores)[live], ceilings, floors)
+        time_ms[j::m] = [(time.perf_counter() - start) * 1000.0 / r] * r
+        found_at += range(j, r * m, m)
+    at = np.array(found_at, dtype=np.intp) // m
+    holds, on_limit = block_verdicts(
+        block, np.array(live)[at], found, ceilings[at], floors[at], problems.clf.model.top,
+        problems.clf.model.bottom,
     )
-    holds, tight, at = holds.tolist(), tight.tolist(), 0
-    for records, ks, sets in checked:
-        for k, idx, ok, on_limit in zip(ks, sets, holds[at : at + len(ks)], tight[at : at + len(ks)]):
-            if ok:
-                records.indices[k], records.boundary_tight[k] = idx, on_limit
-        at += len(ks)
-    for name, records in found.items():
-        records.time_ms = times[name].tolist()
-    return found
+    for slot, idx, ok, is_tight in zip(found_at, found, holds.tolist(), on_limit.tolist()):
+        if ok:
+            indices[slot], tight[slot] = idx, is_tight
+    return indices, nodes, time_ms, tight
 
 
 def explain_instance(
@@ -161,10 +179,10 @@ def explain_instance(
     """Explain one instance with the requested method(s), returning report records.
 
     The instance is validated, scored and turned into its cover problem once,
-    unless it is given as that problem (``model.cover_problem_blocks`` builds
-    them for a block of rows); each record's ``time_ms`` covers its explainer
+    unless it is given as that problem, as :func:`explain_block` gives each
+    row its kernels left open; each record's ``time_ms`` covers its explainer
     working from that problem.  A rejected row's search starts from ``root``,
-    the ``SearchRoot`` that :func:`explain_block` found for it, when given.
+    the ``SearchRoot`` that the block's kernels found for it, when given.
     An explainer that finds no set, or a set that fails ``CoverProblem.holds``
     (a score within rounding of a threshold), raises ``ValueError`` naming the instance.
     """

@@ -479,15 +479,15 @@ def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
 _BLOCK_BYTES = 1 << 19
 
 
-def cover_problem_blocks(clf: RejectClassifier, rows) -> Iterator[tuple[np.ndarray, "BlockProblems"]]:
-    """The rows of the matrix ``rows`` a block at a time: each block's
-    ``(r, 4, n)`` array and the :class:`BlockProblems` of its ``r`` rows.
+def cover_problem_blocks(clf: RejectClassifier, rows) -> Iterator["BlockProblems"]:
+    """The rows of the matrix ``rows`` a block at a time, as the
+    :class:`BlockProblems` of each block's rows.
 
     Blocks of rows are checked, multiplied, scored and given their gains with
-    whole-block operations; each problem is a view of its own rows of its
-    block, so ``block[:, 0]`` and ``block[:, 1]`` hold the rows' gains up and
-    down.  A width other than the model's or a non-finite value raises
-    ``ValueError``.
+    whole-block operations on an ``(r, 4, n)`` array; each problem is a view
+    of its own rows of that block, so ``block[:, 0]`` and ``block[:, 1]``
+    hold the rows' gains up and down.  A width other than the model's or a
+    non-finite value raises ``ValueError``.
     """
     model = clf.model
     X = np.asarray(rows, dtype=float)
@@ -513,18 +513,19 @@ def cover_problem_blocks(clf: RejectClassifier, rows) -> Iterator[tuple[np.ndarr
         labels = [
             None if out else label_for_score(s, clf.t_minus, clf.t_plus) for s, out in zip(scores, outside)
         ]
-        yield block, BlockProblems(clf, block, scores, labels)
+        yield BlockProblems(clf, block, start, scores, labels)
 
 
 class BlockProblems(Sequence):
     """The cover problems of a block's rows, as a sequence: item ``i`` is row
     ``i``'s :class:`CoverProblem`, made when it is read, or None for a row
     outside the model's domains.  ``scores[i]`` and ``labels[i]`` (None
-    outside the domains) are read without making it."""
+    outside the domains) are read without making it.  Row ``i`` is row
+    ``start + i`` of the matrix the block was cut from."""
 
-    def __init__(self, clf: RejectClassifier, block: np.ndarray, scores: list[float],
+    def __init__(self, clf: RejectClassifier, block: np.ndarray, start: int, scores: list[float],
                  labels: list[Label | None]):
-        self.clf, self.block, self.scores, self.labels = clf, block, scores, labels
+        self.clf, self.block, self.start, self.scores, self.labels = clf, block, start, scores, labels
 
     def __len__(self) -> int:
         return len(self.labels)

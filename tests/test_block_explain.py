@@ -1,7 +1,7 @@
 """The block step: ``explain_block`` settles and checks what whole-block
-kernels can, ``explain_instance`` explains what it left open, and the CLI's
-row loop must then give every row the records, and raise the errors, that
-it gives the row explained on its own."""
+kernels can and has ``explain_instance`` explain what they left open, and
+must then give every row the records, and raise the errors, that it gives
+the row explained on its own."""
 
 import collections
 import dataclasses
@@ -63,30 +63,37 @@ def _alone(clf, X, method, **limits):
 
 
 def _compare(clf, X, method, **limits):
-    """The rows of ``X`` explained through the CLI's row loop and each on its
-    own: the same records, ``time_ms`` aside, and the same skipped count, or
-    the same first error.  Returns the number of records the block step
-    settled, counted from ``explain_block``'s checked sets."""
+    """The rows of ``X`` explained block by block (``cli._explain_matrix``)
+    and each on its own: the same records, ``time_ms`` aside, and the same
+    skipped count, or the same first error.  Returns the number of records
+    the block step settled: those up to the first error that no call of
+    ``explain.explain_instance`` made.  Each settled set holds."""
     alone, skipped, error = _alone(clf, X, method, **limits)
-    try:
-        columns, skipped_here = cli._explain_matrix(clf, X, method, **limits)
-    except ValueError as exc:
-        assert (type(exc), str(exc)) == error
-    else:
-        assert error is None
-        assert _zeroed(map(ExplanationRecord, *columns.fields.values())) == _zeroed(alone)
-        assert skipped_here == skipped
-    settled = 0
-    for block, problems in model_module.cover_problem_blocks(clf, X):
-        found = explain.explain_block(block, problems, method)
-        live = [p for p in problems if p is not None]
-        for records in found.values():
-            assert {len(records.indices), len(records.time_ms), len(records.nodes)} == {len(live)}
-            for problem, idx in zip(live, records.indices):
-                if isinstance(idx, np.ndarray):
-                    assert problem.holds(idx)
-                    settled += 1
-    return settled
+    made = []
+    real = explain.explain_instance
+
+    def counted(*args, **kwargs):
+        records = real(*args, **kwargs)
+        made.extend(records)
+        return records
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explain, "explain_instance", counted)
+        try:
+            columns, skipped_here = cli._explain_matrix(clf, X, method, **limits)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == error
+            return len(alone) - len(made)
+    assert error is None
+    records = list(map(ExplanationRecord, *columns.fields.values()))
+    assert _zeroed(records) == _zeroed(alone)
+    assert skipped_here == skipped
+    by_own = {(r.instance_id, r.method) for r in made}
+    settled = [r for r in records if (r.instance_id, r.method) not in by_own]
+    assert len(settled) == len(records) - len(made)
+    for record in settled:
+        assert cover_problem(clf, Instance(X[record.instance_id])).holds(record.index_array)
+    return len(settled)
 
 
 def _rows(seed, n, rows, half_band, zero_every=0):
@@ -218,9 +225,9 @@ def test_search_from_the_block_root_is_the_search_alone(node_limit):
     # cut short included.
     searched = 0
     for clf, X in (_rows(1, 24, 400, 0.5, zero_every=7), _quarter_steps(6, 14, 400, accepted=0.1)):
-        block, problems = next(model_module.cover_problem_blocks(clf, X))
+        problems = next(model_module.cover_problem_blocks(clf, X))
         rows = [i for i, p in enumerate(problems) if p is not None and p.label is Label.REJECT]
-        m = clf.model
+        m, block = clf.model, problems.block
         found = rejected.root_block(block[rows, 0], block[rows, 1], m.top, m.bottom, clf.t_plus, clf.t_minus)
         for i, root in zip(rows, found):
             if isinstance(root, rejected.SearchRoot):
@@ -255,25 +262,49 @@ def test_block_sizes(monkeypatch, method, size):
                  "the constant": explain._BLOCK_ROWS}[size]
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", per_block * 4 * 8 * n)
     clf, X = _rows(5, n, 3 * per_block + 1, 0.6)
-    blocks = [len(problems) for _, problems in model_module.cover_problem_blocks(clf, X)]
+    blocks = [len(problems) for problems in model_module.cover_problem_blocks(clf, X)]
     assert blocks[:3] == [per_block] * 3
     assert (_compare(clf, X, method) > 0) is (size == "the constant")
 
 
 def test_settled_records_keep_the_kernels_index_arrays(monkeypatch):
+    # A settled record holds the very array its kernel made, and as time_ms
+    # its kernel's time split evenly over the rows it ran on; a row that then
+    # runs its own explainer adds that explainer's time to its share.
     clf, X = _rows(1, 24, 100, 0.5)
-    found = []
-    real = cli.explain_block
-    monkeypatch.setattr(cli, "explain_block", lambda *a: found.append(real(*a)) or found[-1])
+    made, own = {"minabro": [], "baseline": []}, set()
+
+    def kept_by(method, kernel):
+        def run(*args):
+            sets = kernel(*args)
+            made[method] += sets
+            return sets
+        return run
+
+    def explained(*args):
+        records = real_instance(*args)
+        own.update((r.instance_id, r.method) for r in records)
+        return records
+
+    for name, method in (("greedy_block", "minabro"), ("root_block", "minabro"), ("deletion_block", "baseline")):
+        monkeypatch.setattr(explain, name, kept_by(method, getattr(explain, name)))
+    real_instance = explain.explain_instance
+    monkeypatch.setattr(explain, "explain_instance", explained)
     columns, _ = cli._explain_matrix(clf, X, "both")
-    (block,) = found
+    shares = collections.defaultdict(set)  # each kernel's settled times
     kept = 0
-    for j, (name, idx, time_ms) in enumerate(zip(*map(columns.fields.get, ("method", "indices", "time_ms")))):
-        settled = block[name].indices[j // 2]
-        if isinstance(settled, np.ndarray):
-            assert idx is settled and time_ms == block[name].time_ms[j // 2]
+    records = list(zip(*map(columns.fields.get, ("instance_id", "method", "label", "indices", "time_ms"))))
+    for i, method, label, idx, time_ms in records:
+        if (i, method) not in own:
+            assert any(idx is found for found in made[method])
+            shares[method, label if method == "minabro" else None].add(time_ms)
             kept += 1
     assert kept > 150
+    assert all(len(times) == 1 and min(times) > 0.0 for times in shares.values()), shares
+    for i, method, label, _, time_ms in records:
+        share = shares.get((method, label if method == "minabro" else None))
+        if (i, method) in own and share:
+            assert time_ms > min(share)
 
 
 def test_index_field_keeps_a_flat_intp_array_and_converts_the_rest():
@@ -426,7 +457,8 @@ def test_block_verdicts_equal_the_verdict_on_boundary_rows(case):
     for _ in range(100):
         clf, instance = boundary_case(rng, case)
         n = instance.values.size
-        block, problems = next(model_module.cover_problem_blocks(clf, np.tile(instance.values, (3, 1))))
+        problems = next(model_module.cover_problem_blocks(clf, np.tile(instance.values, (3, 1))))
+        block = problems.block
         sets = [np.arange(n), np.empty(0, dtype=np.intp)] + [
             np.sort(rng.choice(n, size, replace=False)) for size in rng.integers(0, n + 1, 10)
         ]

@@ -10,6 +10,7 @@ import pytest
 
 import minaxp.cli as cli
 import minaxp.dataio as dataio
+import minaxp.explain as explain_module
 import minaxp.model as model_module
 from minaxp import (
     DomainError,
@@ -255,7 +256,8 @@ class TestExplainInputs:
             code, output = outcomes[0]
             assert code == 0
             if command == "verify":
-                assert output == "62/62 classified, 5/5 rejected agree with brute force\n"
+                assert output == ("62/62 classified, 5/5 rejected agree with brute force, "
+                                  "skipped 5 out-of-domain\n")
             else:
                 assert {r.label for r in output} == {"POSITIVE", "NEGATIVE", "REJECT"}
         argv = ["explain", "--model", str(p["calibrated"]), "--data", str(plain), "--label-col", "none"]
@@ -473,8 +475,9 @@ class TestRowBlocks:
                 skipped += 1
         assert skipped == {None: 3, 3: 1, 4: 2, 8: 3}[limit]
         calls = []
-        explain = cli.explain_instance
-        monkeypatch.setattr(cli, "explain_instance", lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
+        explain = explain_module.explain_instance
+        monkeypatch.setattr(explain_module, "explain_instance",
+                            lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
         report = tmp_path / "report.jsonl"
         argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
                 "--out-report", str(report)]
@@ -486,9 +489,11 @@ class TestRowBlocks:
             dataclasses.replace(r, time_ms=0.0) for r in expected
         ]
         assert aggregate["skipped_out_of_domain"] == skipped
-        # One explain_instance call per explained row and repeat.
+        # One explain_instance call per explained row and repeat, each
+        # block's rows once per repeat.
         explained = [r.instance_id for r in expected if r.method == "minabro"]
-        assert calls == [i for i in explained for _ in range(2 if command == "benchmark" else 1)]
+        repeats = 2 if command == "benchmark" else 1
+        assert calls == [i for block in range(4) for _ in range(repeats) for i in explained if i // 3 == block]
 
     @pytest.mark.parametrize("command", ["explain", "benchmark"])
     def test_explain_instance_runs_for_open_rows_only(self, tmp_path, monkeypatch, command):
@@ -507,32 +512,31 @@ class TestRowBlocks:
         model_path, data, report = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "report.jsonl"
         save_model(ModelBundle(model, clf.t_minus, clf.t_plus), model_path)
         write_csv(data, X, np.ones(200, dtype=int))
-        explain, explain_block = cli.explain_instance, cli.explain_block
-        calls, left = [], []
-
-        def block_step(*args):
-            found = explain_block(*args)
-            left.append(sorted({k for records in found.values()
-                                for k, idx in enumerate(records.indices) if not isinstance(idx, np.ndarray)}))
-            return found
-
-        monkeypatch.setattr(cli, "explain_instance", lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
-        monkeypatch.setattr(cli, "explain_block", block_step)
+        explain = explain_module.explain_instance
+        calls = []
+        monkeypatch.setattr(explain_module, "explain_instance",
+                            lambda *a, **k: calls.append(a[2]) or explain(*a, **k))
         repeats = 2 if command == "benchmark" else 1
         argv = [command, "--model", str(model_path), "--data", str(data), "--method", "both",
                 "--out-report", str(report)]
         assert cli.main(argv + (["--repeats", "2"] if repeats == 2 else [])) == 0
         explained = [i for i in range(200) if i not in (5, 60)]
-        assert len(left) == repeats and left.count(left[0]) == repeats
-        open_rows = [explained[k] for k in left[0]]
+        # The rows the block leaves open: those whose own search branches.
+        open_rows = [i for i in explained if explain(clf, Instance(X[i]), i)[0].nodes]
         assert 3 <= len(open_rows) <= len(explained) // 4, open_rows
-        assert calls == [i for i in open_rows for _ in range(repeats)]
+        assert calls == open_rows * repeats
         records, aggregate = read_explanation_report(report)
         expected = [r for i in explained for r in explain(clf, Instance(X[i]), i, method="both")]
         assert [dataclasses.replace(r, time_ms=0.0) for r in records] == [
             dataclasses.replace(r, time_ms=0.0) for r in expected
         ]
         assert aggregate["skipped_out_of_domain"] == 2
+
+    def test_verify_counts_the_out_of_domain_rows_it_skips(self, tmp_path, capsys):
+        clf, X, model_path, data = self._files(tmp_path)
+        assert cli.main(["verify", "--model", str(model_path), "--data", str(data), "--cases", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(" agree with brute force, skipped 2 out-of-domain\n"), out
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "constant-scaled-column"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -663,8 +667,13 @@ class TestExitCodes:
             ('{"value": [5.0, 5.0]}', 'the JSON object has no "values" field'),
             ('{"values": 5.0}', "expected a flat JSON list of numbers"),
             ("[5.0, 1" + "0" * 400 + "]", "a value is too large for a float"),
+            ("[NaN, 5.0]", "value 0 is not finite"),
+            ("[5.0, Infinity]", "value 1 is not finite"),
+            ("[5.0, -Infinity]", "value 1 is not finite"),
+            ("[5.0, 1e400]", "value 1 is not finite"),
         ],
-        ids=["short", "long", "nested", "string", "bool", "no-values", "scalar-values", "huge-int"],
+        ids=["short", "long", "nested", "string", "bool", "no-values", "scalar-values", "huge-int",
+             "nan", "infinity", "-infinity", "huge-float"],
     )
     def test_bad_instance_json_is_input_error(self, tmp_path, capsys, payload, message):
         model = tmp_path / "model.json"
@@ -914,6 +923,32 @@ class TestExitCodes:
         monkeypatch.setattr(explain, "greedy_explanation", padded)
         assert cli.main(["verify", "--cases", "10", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED
         assert "FAILED" in capsys.readouterr().err
+
+    def test_verify_data_flags_an_injected_block_greedy_bug(self, tmp_path, monkeypatch, capsys):
+        # negative control: verify --data checks what explain writes, and the
+        # block step writes the whole-block greedy's sets for a block this big
+        rng = np.random.default_rng(12)
+        model = LinearModel(rng.normal(size=10), 0.0, unit_box(10))
+        X = rng.random((60, 10))
+        t_minus, t_plus = np.quantile(X @ model.weights, [0.35, 0.65])
+        model_path, data = tmp_path / "model.json", tmp_path / "rows.csv"
+        save_model(ModelBundle(model, t_minus, t_plus), model_path)
+        write_csv(data, X, np.ones(60, dtype=int))
+        argv = ["verify", "--model", str(model_path), "--data", str(data)]
+        assert cli.main(argv) == 0
+        real = explain_module.greedy_block
+
+        def padded(gains, need):
+            sets = real(gains, need)
+            return [idx if idx is None or idx.size == gains.shape[1]
+                    else np.union1d(idx, np.setdiff1d(np.arange(gains.shape[1]), idx)[:1]) for idx in sets]
+
+        monkeypatch.setattr(explain_module, "greedy_block", padded)
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        # every accepted row is padded, no rejected row is touched
+        assert "FAILED" in err and out.startswith("0/42 classified, 18/18 rejected"), out
 
     def test_verify_flags_an_injected_solver_bug(self, monkeypatch, capsys):
         # negative control: a solver that pads its selection yet claims optimality

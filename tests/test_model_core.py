@@ -144,8 +144,10 @@ class TestCoverProblems:
 
     def _assert_matches_per_row(self, clf, X):
         # Earlier blocks outlive later ones.
-        problems = [p for _, block in model_module.cover_problem_blocks(clf, X) for p in block]
+        blocks = list(model_module.cover_problem_blocks(clf, X))
+        problems = [p for block in blocks for p in block]
         assert len(problems) == X.shape[0]
+        assert [block.start for block in blocks] == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
         labels = set()
         for row, problem in zip(np.ascontiguousarray(X), problems):
             try:
@@ -173,7 +175,7 @@ class TestCoverProblems:
     def test_greedy_work_rows_stay_inside_their_row(self):
         clf, X = self._case(30, 40)
         blocks = model_module.cover_problem_blocks(clf, X)
-        problems = [p for _, block in blocks for p in block if p is not None]
+        problems = [p for block in blocks for p in block if p is not None]
         before = [_problem_fields(p) for p in problems]
         for problem in problems:
             if problem.label is not Label.REJECT:
