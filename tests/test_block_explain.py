@@ -65,10 +65,22 @@ def _alone(clf, X, method, **limits):
 def _compare(clf, X, method, **limits):
     """The rows of ``X`` explained block by block (``cli._explain_matrix``)
     and each on its own: the same records, ``time_ms`` aside, and the same
-    skipped count, or the same first error.  Returns the number of records
-    the block step settled: those up to the first error that no call of
-    ``explain.explain_instance`` made.  Each settled set holds."""
+    skipped count, or the same first error.  Returns the number of sets the
+    whole-block kernels settled (``explain._settle``) in every block, the
+    blocks after a failing row included; each of them holds, whether or not
+    a row fails.  With no error, they are the records that no call of
+    ``explain.explain_instance`` made."""
     alone, skipped, error = _alone(clf, X, method, **limits)
+    names = explain.method_names(method)
+    settled_sets = 0
+    for problems in model_module.cover_problem_blocks(clf, X):
+        live = [i for i, label in enumerate(problems.labels) if label is not None]
+        columns = explain._settle(problems, live, names)
+        assert {len(column) for column in columns} == {len(live) * len(names)}
+        for slot, idx in enumerate(columns[0]):
+            if isinstance(idx, np.ndarray):
+                assert problems[live[slot // len(names)]].holds(idx)
+                settled_sets += 1
     made = []
     real = explain.explain_instance
 
@@ -83,17 +95,17 @@ def _compare(clf, X, method, **limits):
             columns, skipped_here = cli._explain_matrix(clf, X, method, **limits)
         except ValueError as exc:
             assert (type(exc), str(exc)) == error
-            return len(alone) - len(made)
+            return settled_sets
     assert error is None
     records = list(map(ExplanationRecord, *columns.fields.values()))
     assert _zeroed(records) == _zeroed(alone)
     assert skipped_here == skipped
     by_own = {(r.instance_id, r.method) for r in made}
     settled = [r for r in records if (r.instance_id, r.method) not in by_own]
-    assert len(settled) == len(records) - len(made)
+    assert len(settled) == len(records) - len(made) == settled_sets
     for record in settled:
         assert cover_problem(clf, Instance(X[record.instance_id])).holds(record.index_array)
-    return len(settled)
+    return settled_sets
 
 
 def _rows(seed, n, rows, half_band, zero_every=0):
