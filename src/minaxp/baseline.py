@@ -101,20 +101,19 @@ def deletion_explanation(problem: CoverProblem) -> Explanation:
     return Explanation(indices=kept, kind=problem.kind, certified_minimum=False)
 
 
-def first_fit_columns(start: np.ndarray, gains: np.ndarray, caps: np.ndarray) -> np.ndarray:
+def first_fit_columns(start: np.ndarray, columns: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The features a first fit in index order drops from each of ``r`` rows
     at once, as an ``(r, n)`` mask.  ``start`` and ``caps`` are ``(2, r)``:
     each row's two running sums start at ``start`` and must stay at or below
-    ``caps``; ``gains`` is ``(r, 2, n)``, each row's two gain rows.
+    ``caps``; ``columns`` is ``(n, 2, r)``, feature j's two gains in each row.
 
     The walk goes over the columns with one running sum per row and side, so
     each row makes the comparisons and additions its own scalar walk makes.
     """
     running, candidate = start.copy(), np.empty_like(start)
     inside = np.empty(start.shape, dtype=bool)
-    rows, n = start.shape[1], gains.shape[2]
-    fit = np.empty((n, rows), dtype=bool)
-    for j, column in enumerate(gains.transpose(2, 1, 0).copy()):
+    fit = np.empty(columns.shape[::2], dtype=bool)
+    for j, column in enumerate(columns):
         np.add(running, column, out=candidate)
         np.less_equal(candidate, caps, out=inside)
         np.logical_and(inside[0], inside[1], out=fit[j])
@@ -123,19 +122,27 @@ def first_fit_columns(start: np.ndarray, gains: np.ndarray, caps: np.ndarray) ->
 
 
 def deletion_block(
-    gains: np.ndarray, scores: np.ndarray, ceilings: np.ndarray, floors: np.ndarray,
+    columns: np.ndarray, scores: np.ndarray, ceilings: np.ndarray, floors: np.ndarray,
 ) -> list[np.ndarray]:
     """:func:`deletion_explanation`'s index set for each of ``r`` rows, given
-    their gains up and down as the ``(r, 2, n)`` array ``gains``, their
-    scores and their limits: :func:`first_fit_columns` over the sums and
-    caps each row's own walk uses.  A side with an infinite limit never
-    refuses a feature, so every label walks both.
+    their gains as the ``(n, 2, r)`` array ``columns`` (feature j's gains up
+    and down in each row), their scores and their limits:
+    :func:`first_fit_columns` over the sums and caps each row's own walk
+    uses.  A side with an infinite limit never refuses a feature, so every
+    label walks both.
     """
-    kept = ~first_fit_columns(
+    return row_sets(~first_fit_columns(
         np.stack((scores, -scores)),
-        gains,
+        columns,
         np.stack((ceilings + DEFAULT_EPSILON, -(floors - DEFAULT_EPSILON))),
-    )
-    ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
-    columns = kept.nonzero()[1]
+    ))
+
+
+def row_sets(mask: np.ndarray, labels: np.ndarray | None = None) -> list[np.ndarray]:
+    """The columns of each row's true entries of the 2-d ``mask``, ascending,
+    or ``labels`` at those columns."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    columns = mask.nonzero()[1]
+    if labels is not None:
+        columns = labels[columns]
     return [columns[start:end] for start, end in zip([0] + ends, ends)]

@@ -473,10 +473,12 @@ def cover_problem(clf: RejectClassifier, instance: Instance) -> CoverProblem:
 
 
 # The most bytes of gains and work rows that ``cover_problem_blocks`` holds at once:
-# a 16,384-feature row fills it alone, as ``cover_problem``'s block does.
-# Blocks of two such rows built slower (200 rows: 17.7 against 15.6 ms on a
-# 2-vCPU VM); at 30 to 200 features any size from 256 KiB up did as well.
-_BLOCK_BYTES = 1 << 19
+# 1,092 rows of 30 features, 163 of 200, 2 of 16,384 (below the block step's
+# ``_BLOCK_ROWS``, so those go row by row).  Fewer, larger blocks walk fewer
+# columns in the first fits: on a 2-vCPU VM a 1,200-row, 200-feature pass
+# took 163 ms at 1 MiB against 175 at 512 KiB, and 2 MiB was no faster.
+# Each doubling adds about 2 to 6 MB to one process's peak.
+_BLOCK_BYTES = 1 << 20
 
 
 def cover_problem_blocks(clf: RejectClassifier, rows) -> Iterator["BlockProblems"]:

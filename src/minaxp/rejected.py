@@ -22,13 +22,23 @@ slack, the slacks' sum and the surrogate ``slack_up + lam * slack_down``
 with ``lam = slack_up / slack_down`` (Glover 1968; Martello and Toth 1990,
 ch. 3).  Any feasible removal fits all four, so an incumbent matched by the
 best outstanding bound is provably optimal.  The counts come off prefix
-sums of the undecided tail, built once per visited depth (one sort, one
-cumulative sum) into an ``array('d')`` that ``bisect`` reads; the search
-itself runs on plain floats and lists.  First-fit fills give the starting
-incumbent; on most narrow-band rows it meets the root bound, and the row
-is certified without branching.  The running per-node sums only steer the
+sums of the undecided tail, which ``bisect`` reads; the search itself runs
+on plain floats and lists.  First-fit fills give the starting incumbent;
+on most narrow-band rows it meets the root bound, and the row is
+certified without branching.  The running per-node sums only steer the
 search: an incumbent is accepted only once ``CoverProblem.holds`` passes
 on its pinned set.
+
+:func:`root_block` works out the root of a block of rows at once, and for
+each row it leaves to the search it builds the tail sums of the first
+``_TABLE_DEPTHS`` depths in bulk, cut to the root bound K.  The cut is
+exact: a node's tail is part of the root's and its budgets are no larger,
+and running sums of sorted non-negative values only grow when values are
+dropped, so no family fits more at a node than at the root, and the
+node's bound, the smallest count, is at most K.  ``bisect`` over the first
+K sums returns it unchanged.  Deeper depths, rows past
+``_SUFFIX_EXACT_LIMIT`` and rows searched on their own build each visited
+depth's sums when first visited (one sort, one cumulative sum).
 """
 
 from __future__ import annotations
@@ -36,12 +46,12 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .baseline import first_fit_columns
+from .baseline import first_fit_columns, row_sets
 from .model import DEFAULT_EPSILON, CoverProblem, ExplanationKind
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -51,6 +61,11 @@ DEFAULT_TIME_LIMIT = 30.0
 # variables (quadratic memory in the worst case); larger problems fall back
 # to a single global gain ranking, which is weaker but still admissible.
 _SUFFIX_EXACT_LIMIT = 3000
+
+# Depths whose tail sums root_block builds for each row it leaves to the
+# search; deeper ones are built when first visited.  An open reject-pack row
+# visits about 11 depths (p90 18).
+_TABLE_DEPTHS = 16
 
 
 @dataclass(frozen=True)
@@ -69,32 +84,39 @@ class _TailSums:
     """Sorted prefix sums over the undecided tail of the branch order, per depth.
 
     Four families: each constraint's costs alone, their sum and the
-    surrogate ``up + lam * down`` (feasible removals must fit all four).  A
-    visited depth costs one sort and one cumulative sum over all four,
-    cheapest first.  The sums go into one ``array('d')``, 8 bytes per value,
-    and ``bisect`` reads each family through a memoryview.  Beyond
-    _SUFFIX_EXACT_LIMIT variables every depth uses the whole order's sums.
+    surrogate ``up + lam * down`` (feasible removals must fit all four).
+    Depths 1 to ``len(tables)`` are read from ``tables``, a
+    :class:`SearchRoot`'s ``(depths, 4, K)`` array, as lists, once per
+    visited depth.  Any other depth costs one sort and one cumulative sum
+    over all four, cheapest first, when first visited; the sums go into one
+    ``array('d')``, 8 bytes per value, and ``bisect`` reads each family
+    through a memoryview.  Beyond _SUFFIX_EXACT_LIMIT variables every depth
+    uses the whole order's sums.
     """
 
-    def __init__(self, up: np.ndarray, down: np.ndarray, lam: float):
+    def __init__(self, up: np.ndarray, down: np.ndarray, lam: float, tables=()):
         self.values = np.vstack((up, down, up + down, up + lam * down))
         self.exact = up.size <= _SUFFIX_EXACT_LIMIT
-        self.cache: dict[int, tuple[memoryview, ...]] = {}
+        self.tables = tables
+        self.cache = {}
 
-    def at(self, depth: int) -> tuple[memoryview, ...]:
+    def at(self, depth: int):
+        """The four families' sums at ``depth``, each a list or memoryview."""
         if not self.exact:
             depth = 0
         tail = self.cache.get(depth)
         if tail is None:
             families, width = self.values.shape[0], self.values.shape[1] - depth
-            ordered = np.sort(self.values[:, depth:], axis=1)
-            flat = array("d", [0.0]) * (families * width)  # allocated exactly, unlike frombytes
-            sums = np.frombuffer(flat).reshape(families, width)
-            np.add.accumulate(ordered, axis=1, out=sums)
-            view = memoryview(flat)
-            tail = self.cache[depth] = tuple(
-                view[f * width : (f + 1) * width] for f in range(families)
-            )
+            if 0 < depth <= len(self.tables):
+                # Past the end of a tail shorter than the table, it reads infinity.
+                tail = self.cache[depth] = self.tables[depth - 1, :, :width].tolist()
+            else:
+                ordered = np.sort(self.values[:, depth:], axis=1)
+                flat = array("d", [0.0]) * (families * width)  # allocated exactly, unlike frombytes
+                sums = np.frombuffer(flat).reshape(families, width)
+                np.add.accumulate(ordered, axis=1, out=sums)
+                view = memoryview(flat)
+                tail = self.cache[depth] = tuple(view[f * width : (f + 1) * width] for f in range(families))
         return tail
 
 
@@ -160,13 +182,13 @@ def _search_pack(
     sequence, count, depth, spent_up, spent_down, removed), where
     ``removed`` is the last removed position linked to its parent's chain,
     ``(position, removed)``, or None.  Insertion order breaks bound ties,
-    with remove-children pushed first.  ``root``, when given, is a
-    :class:`SearchRoot`'s root bound and fills, worked out for this order.
+    with remove-children pushed first.  ``root``, when given, is the
+    :class:`SearchRoot` worked out for this order, its fills checked.
     """
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
     c_up, c_down = problem.gain_up[order], problem.gain_down[order]
-    sums = _TailSums(c_up, c_down, lam)
+    sums = _TailSums(c_up, c_down, lam, () if root is None else root.tables)
     up, down = c_up.tolist(), c_down.tolist()
 
     def holds(removed) -> bool:
@@ -175,9 +197,9 @@ def _search_pack(
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
     if root is not None:
-        # Both fills fell short of the bound: the longer one that holds, the first on a tie.
-        root_ub, *fills = root
-        best_removed = max((fill for fill in fills if holds(fill)), key=len, default=[])
+        # Both fills fell short of the bound: the longer one that held, the first on a tie.
+        root_ub = root.bound
+        best_removed = max(root.fills, key=len, default=[])
     else:
         root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
         # With a root bound of 0 the answer is the active set, which already holds.
@@ -242,15 +264,25 @@ def _search_pack(
 @dataclass(frozen=True)
 class SearchRoot:
     """The root of one row's search, as :func:`root_block` works it out: the
-    features in the branch order, the two slacks, the root bound and the
-    branch positions each fill frees (before their ``holds`` checks)."""
+    features in the branch order, the two slacks, the root bound, the
+    branch positions each fill frees with its pinned set, and the tail
+    sums of depths 1 to ``len(tables)`` (:func:`_tail_tables`).  From
+    :func:`root_block` the fills are those of both fill orders;
+    :meth:`checked` keeps those whose pinned sets pass
+    ``CoverProblem.holds``, and the search starts from a checked root."""
 
     order: np.ndarray
     budget_up: float
     budget_down: float
     bound: int
-    first: list[int]
-    second: list[int]
+    fills: list[list[int]]
+    pinned: list[np.ndarray]
+    tables: np.ndarray
+
+    def checked(self, held: list[bool]) -> SearchRoot:
+        """This root with only the fills whose pinned sets ``held``."""
+        keep = [k for k, ok in enumerate(held) if ok]
+        return replace(self, fills=[self.fills[k] for k in keep], pinned=[self.pinned[k] for k in keep])
 
 
 def solve_rejection_ilp(
@@ -281,8 +313,7 @@ def solve_rejection_ilp(
     problem.expect(ExplanationKind.REJECTION)
     if root is not None:
         return _search_pack(
-            problem, root.order, root.budget_up, root.budget_down, start, node_limit, time_limit, eps,
-            (root.bound, root.first, root.second),
+            problem, root.order, root.budget_up, root.budget_down, start, node_limit, time_limit, eps, root,
         )
     gain_up, gain_down = problem.gain_up, problem.gain_down
     need_up, need_down = problem.need_up, problem.need_down
@@ -318,7 +349,8 @@ def root_block(
     first fill's pinned set when it meets the bound, else the second
     fill's.  That set has yet to pass ``CoverProblem.holds``, as the
     solver's fills do; if it fails, the row's own solver decides.  A row
-    that needs the search gets its :class:`SearchRoot`; one whose active
+    that needs the search gets its :class:`SearchRoot`, with both fills
+    yet to be checked and its first depths' tail sums; one whose active
     set fails ``holds`` or is not the first row's gets None.  Each step
     adds, sorts and compares what the row's own solver does, so the
     counts, sets and roots are its own.
@@ -341,56 +373,119 @@ def root_block(
     budget_up, budget_down = sum_up - need_up, sum_down - need_down
     lam = np.ones(rows)
     np.divide(budget_up, budget_down, out=lam, where=(budget_up > 0.0) & (budget_down > 0.0))
-    cost, surrogate = up + down, up + lam[:, None] * down
+
+    def families(at):
+        """_TailSums' four families of the rows ``at``, by feature, one at a time."""
+        yield up[at]
+        yield down[at]
+        yield up[at] + down[at]
+        yield up[at] + lam[at, None] * down[at]
+
     # _TailSums at depth 0 and _pack_bound's four counts.
-    sums = np.stack((up, down, cost, surrogate), axis=1)
-    sums.sort(axis=2)
-    np.add.accumulate(sums, axis=2, out=sums)
-    limits = np.stack((
+    limits = (
         budget_up + eps, budget_down + eps, budget_up + budget_down + 2.0 * eps,
         budget_up + lam * budget_down + (1.0 + lam) * eps,
-    ), axis=1)
-    root = np.count_nonzero(sums <= limits[:, :, None], axis=2).min(axis=1)
+    )
+    root = np.min([_fitting(family, limit) for family, limit in zip(families(slice(None)), limits)], axis=0)
     settled = open_rows & (root == 0)
     pinned = np.zeros((rows, m), dtype=bool)
     pinned[settled] = True
-    short = open_rows & (root > 0)
-    caps = np.stack((budget_up, budget_down)) + eps
-    # The fills: in the branch order (cost ascending, ties by descending
-    # index), then in the surrogate order (ties by ascending index).
-    branch = (m - 1) - np.argsort(cost[:, ::-1], axis=1, kind="stable")
-    freed_by = []
-    for second in (False, True):
-        fill = short.nonzero()[0]
-        if not fill.size:
-            break
-        order = np.argsort(surrogate[fill], axis=1, kind="stable") if second else branch[fill]
-        steps = np.stack(
-            (np.take_along_axis(up[fill], order, axis=1), np.take_along_axis(down[fill], order, axis=1)),
-            axis=1,
-        )
-        freed = first_fit_columns(np.zeros((2, fill.size)), steps, caps[:, fill])
-        met = np.count_nonzero(freed, axis=1) >= root[fill]
-        kept = np.ones((fill.size, m), dtype=bool)
-        np.put_along_axis(kept, order, ~freed, axis=1)
-        pinned[fill[met]] = kept[met]
-        settled[fill[met]] = True
-        short[fill[met]] = False
-        freed_by.append(np.zeros((rows, m), dtype=bool))
-        freed_by[-1][fill] = ~kept
+    # Both fills of each row the root bound leaves open, in one walk: in the
+    # branch order (cost ascending, ties by descending index), and in the
+    # surrogate order (ties by ascending index).  The first that meets the
+    # bound settles the row.
+    branch = (m - 1) - _stable_argsort((up + down)[:, ::-1])
+    fill = (open_rows & (root > 0)).nonzero()[0]
+    orders = np.stack((branch[fill], _stable_argsort(up[fill] + lam[fill, None] * down[fill])), axis=1)
+    caps = np.stack((budget_up[fill], budget_down[fill])) + eps
+    freed = _first_fits(up[fill], down[fill], orders, caps)
+    met = np.count_nonzero(freed, axis=2) >= root[fill, None]
+    kept = np.ones(freed.shape, dtype=bool)
+    np.put_along_axis(kept, orders, ~freed, axis=2)
+    first, second = met[:, 0], met[:, 1] & ~met[:, 0]
+    pinned[fill[first]], pinned[fill[second]] = kept[first, 0], kept[second, 1]
+    settled[fill[first | second]] = True
     # A row both fills left short starts its search from them.
-    searched = short.nonzero()[0]
+    short = ~(first | second)
+    searched = fill[short]
     roots = {}
     if searched.size:
-        branch_position = np.argsort(branch[searched], axis=1)
-        orders = active[branch[searched]]
+        order = branch[searched]
+        freed = ~kept[short]
+        fills = row_sets(np.take_along_axis(freed, order[:, None, :], axis=2).reshape(-1, m))
+        fill_pinned = row_sets(kept[short].reshape(-1, m), active)
+        tables = [()] * searched.size
+        if m <= _SUFFIX_EXACT_LIMIT:
+            tables = _tail_tables(np.stack(tuple(families(searched)), axis=1), order, root[searched])
         for k, i in enumerate(searched.tolist()):
-            first, second = (np.sort(branch_position[k][freed[i]]).tolist() for freed in freed_by)
-            roots[i] = SearchRoot(orders[k], float(budget_up[i]), float(budget_down[i]), int(root[i]),
-                                  first, second)
-    ends = np.cumsum(np.count_nonzero(pinned, axis=1)).tolist()
-    chosen = active[pinned.nonzero()[1]]
-    return [
-        chosen[start:end] if ok else roots.get(i)
-        for i, (start, end, ok) in enumerate(zip([0] + ends, ends, settled.tolist()))
-    ]
+            roots[i] = SearchRoot(
+                active[order[k]], float(budget_up[i]), float(budget_down[i]), int(root[i]),
+                [fill.tolist() for fill in fills[2 * k : 2 * k + 2]], fill_pinned[2 * k : 2 * k + 2], tables[k],
+            )
+    chosen = row_sets(pinned, active)
+    return [chosen[i] if ok else roots.get(i) for i, ok in enumerate(settled.tolist())]
+
+
+def _fitting(family: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """How many of each row's cheapest values in ``family`` keep their
+    running sum at or below the row's ``limit``."""
+    sums = np.sort(family, axis=1)
+    np.add.accumulate(sums, axis=1, out=sums)
+    return np.count_nonzero(sums <= limit[:, None], axis=1)
+
+
+def _first_fits(up: np.ndarray, down: np.ndarray, orders: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """What each of ``f`` rows' first fits in its orders ``orders[k, 0]`` and
+    ``orders[k, 1]`` free, as an ``(f, 2, m)`` mask over walk positions: a
+    feature is freed when its gains ``up`` and ``down`` still fit the
+    row's ``caps`` (``(2, f)``) with what was freed before it."""
+    f, _, m = orders.shape
+    if not f:
+        return np.zeros(orders.shape, dtype=bool)
+    columns = np.empty((m, 2, 2 * f))
+    for side, gains in enumerate((up, down)):
+        columns[:, side] = np.take_along_axis(gains[:, None], orders, axis=2).reshape(-1, m).T
+    caps = np.repeat(caps, 2, axis=1)
+    return first_fit_columns(np.zeros(caps.shape), columns, caps).reshape(f, 2, m)
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")``.  A row without equal keys
+    has one sorted order, which the faster default sort finds too."""
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return order
+
+
+def _tail_tables(values: np.ndarray, order: np.ndarray, bound: np.ndarray) -> list[np.ndarray]:
+    """Each row's :meth:`_TailSums.at` of depths 1 to ``_TABLE_DEPTHS``, the
+    first ``bound`` sums of each family, as a ``(depths, 4, bound)`` array,
+    from whole-matrix operations.
+
+    ``values`` is ``(s, 4, m)``, the four families of each row by feature,
+    ``order`` each row's features in the branch order and ``bound`` each
+    row's root bound.  The tail at depth d is the features at branch
+    positions d and up.  At most d of the ``bound + d`` cheapest values of a family lie
+    before it, so its ``bound`` cheapest lie among them: a window of the
+    ``max(bound) + depths`` cheapest of each family, with the values before
+    the depth masked to infinity, is sorted and accumulated, as ``at``
+    sorts and accumulates the whole tail.  Past the end of a tail shorter
+    than ``bound`` the sums are infinite.
+    """
+    s, _, m = values.shape
+    depths = np.arange(1, min(_TABLE_DEPTHS, m - 1) + 1)
+    top = int(bound.max())
+    width = min(m, top + depths.size)
+    position = np.empty((s, 1, m), dtype=np.intp)
+    np.put_along_axis(position, order[:, None, :], np.arange(m), axis=2)
+    if width < m:
+        cheapest = np.argpartition(values, width - 1, axis=2)[:, :, :width]
+        values = np.take_along_axis(values, cheapest, axis=2)
+        position = np.take_along_axis(position, cheapest, axis=2)
+    tails = np.where(position[:, None] >= depths[:, None, None], values[:, None], np.inf)
+    tails.sort(axis=3)
+    sums = np.add.accumulate(tails[..., :top], axis=3)
+    return [table[..., :k] for table, k in zip(sums, bound.tolist())]

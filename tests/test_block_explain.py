@@ -231,25 +231,126 @@ def test_rejected_rows_with_equal_costs(monkeypatch, method):
     assert _compare(clf, X, method) > 0
 
 
+def _narrow_band(seed, n, rows, half_band=0.125):
+    """Uniform rows that score inside a narrow band of a centred unit-box
+    model with uniform weights: each pins most features, and some searches
+    go deeper than the depths the block step tables."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, n)
+    model = LinearModel(w, -0.5 * float(w.sum()), unit_box(n))
+    X = rng.uniform(0.0, 1.0, (40 * rows, n))
+    return RejectClassifier(model, -half_band, half_band), X[np.abs(X @ w + model.bias) < half_band][:rows]
+
+
+def _halves(seed, n, rows, half_band):
+    """Weights in {0, ±0.5, ±1} and values in {0, 0.5, 1}, scoring inside the
+    band: equal costs, zero gains on one side or both, and deep searches."""
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n)
+    model = LinearModel(w, -0.5 * float(w.sum()), unit_box(n))
+    X = rng.integers(0, 3, (20 * rows, n)) * 0.5
+    inside = np.abs(X @ w + model.bias) < half_band - 1 / 16
+    return RejectClassifier(model, -half_band, half_band), X[inside][:rows]
+
+
+def _search_cases():
+    """Blocks of rows the block step leaves to the search: zero weights,
+    equal costs, searches deeper than ``_TABLE_DEPTHS``, equal costs with
+    zero gains, and few features, whose tails at the deepest tabled depths
+    hold fewer values than the root bound."""
+    return (
+        _rows(1, 24, 400, 0.5, zero_every=7), _quarter_steps(6, 14, 400, accepted=0.1), _narrow_band(7, 200, 120),
+        _halves(8, 60, 300, 3.0), _rows(3, 10, 400, 0.8),
+    )
+
+
+def _search_roots(clf, X):
+    """``(problem, root)`` of each rejected row of ``X``'s first block that
+    ``root_block`` leaves to the search, its fills checked with ``holds``."""
+    problems = next(model_module.cover_problem_blocks(clf, X))
+    rows = [i for i, p in enumerate(problems) if p is not None and p.label is Label.REJECT]
+    m, block = clf.model, problems.block
+    found = rejected.root_block(block[rows, 0], block[rows, 1], m.top, m.bottom, clf.t_plus, clf.t_minus)
+    for i, root in zip(rows, found):
+        if isinstance(root, rejected.SearchRoot):
+            problem = problems[i]
+            yield problem, root.checked([problem.holds(pinned) for pinned in root.pinned])
+
+
 @pytest.mark.parametrize("node_limit", [0, 1, 7, rejected.DEFAULT_NODE_LIMIT])
-def test_search_from_the_block_root_is_the_search_alone(node_limit):
+def test_search_from_the_block_root_is_the_search_alone(monkeypatch, node_limit):
     # Every field of the solution but its time, the lower bound of a search
     # cut short included.
-    searched = 0
-    for clf, X in (_rows(1, 24, 400, 0.5, zero_every=7), _quarter_steps(6, 14, 400, accepted=0.1)):
-        problems = next(model_module.cover_problem_blocks(clf, X))
-        rows = [i for i, p in enumerate(problems) if p is not None and p.label is Label.REJECT]
-        m, block = clf.model, problems.block
-        found = rejected.root_block(block[rows, 0], block[rows, 1], m.top, m.bottom, clf.t_plus, clf.t_minus)
-        for i, root in zip(rows, found):
+    searched, deepest = collections.Counter(), collections.Counter()
+    at = rejected._TailSums.at
+
+    def visit(sums, depth):
+        deepest[id(sums)] = max(deepest[id(sums)], depth)
+        return at(sums, depth)
+
+    monkeypatch.setattr(rejected._TailSums, "at", visit)
+    for case, (clf, X) in enumerate(_search_cases()):
+        for problem, root in _search_roots(clf, X):
+            deepest.clear()
+            with_root = rejected.solve_rejection_ilp(problem, node_limit, root=root)
+            alone = rejected.solve_rejection_ilp(problem, node_limit)
+            for field in ("objective", "optimal", "nodes_explored", "lower_bound"):
+                assert getattr(with_root, field) == getattr(alone, field), (case, field)
+            np.testing.assert_array_equal(with_root.selected, alone.selected)
+            searched[case] += 1
+            searched["deep"] += max(deepest.values(), default=0) > rejected._TABLE_DEPTHS
+    assert min(searched[case] for case in range(5)) >= 8, searched
+    if node_limit == rejected.DEFAULT_NODE_LIMIT:
+        assert searched["deep"] >= 20, searched
+
+
+def test_block_tables_are_the_first_tail_sums():
+    # The tail sums a root carries, as _TailSums serves them at each tabled
+    # depth, are the first K (the root bound) of the sums _TailSums builds
+    # itself there, family by family; a tail shorter than K keeps them all.
+    tables = short = 0
+    for clf, X in _search_cases():
+        for problem, root in _search_roots(clf, X):
+            m, budgets = root.order.size, (root.budget_up, root.budget_down)
+            lam = budgets[0] / budgets[1] if min(budgets) > 0.0 else 1.0
+            gains = problem.gain_up[root.order], problem.gain_down[root.order]
+            served, built = rejected._TailSums(*gains, lam, root.tables), rejected._TailSums(*gains, lam)
+            assert len(root.tables) == min(rejected._TABLE_DEPTHS, m - 1)
+            for depth in range(1, len(root.tables) + 1):
+                for family, (table, sums) in enumerate(zip(served.at(depth), built.at(depth))):
+                    assert table == list(sums[: root.bound]), (depth, family)
+                short += m - depth < root.bound
+            tables += 1
+    assert tables >= 100 and short >= 100, (tables, short)
+
+
+def test_settle_keeps_only_the_fills_that_hold(monkeypatch):
+    # The block's one check drops a root's fill whose pinned set fails
+    # CoverProblem.holds: here each root's first fill pins nothing, which no
+    # rejected row's need allows, so only its second fill is left.
+    clf, X = _rows(1, 24, 400, 0.5, zero_every=7)
+    problems = next(model_module.cover_problem_blocks(clf, X))
+    broken = {}
+
+    def first_fill_pins_nothing(*args):
+        found = root_block(*args)
+        for k, root in enumerate(found):
             if isinstance(root, rejected.SearchRoot):
-                with_root = rejected.solve_rejection_ilp(problems[i], node_limit, root=root)
-                alone = rejected.solve_rejection_ilp(problems[i], node_limit)
-                for field in ("objective", "optimal", "nodes_explored", "lower_bound"):
-                    assert getattr(with_root, field) == getattr(alone, field), (i, field)
-                np.testing.assert_array_equal(with_root.selected, alone.selected)
-                searched += 1
-    assert searched >= 20
+                found[k] = dataclasses.replace(root, pinned=[np.empty(0, np.intp), root.pinned[1]])
+                broken[id(root.order)] = root
+        return found
+
+    root_block = explain.root_block
+    monkeypatch.setattr(explain, "root_block", first_fill_pins_nothing)
+    live = [i for i, label in enumerate(problems.labels) if label is not None]
+    kept = 0
+    for k, root in enumerate(explain._settle(problems, live, ("minabro",))[0]):
+        if isinstance(root, rejected.SearchRoot):
+            own = broken[id(root.order)]
+            assert problems[live[k]].holds(own.pinned[1])
+            assert root.fills == [own.fills[1]] and root.pinned == [own.pinned[1]]
+            kept += 1
+    assert kept >= 20
 
 
 @pytest.mark.parametrize("limits", [{"node_limit": 0}, {"node_limit": 1}, {"time_limit": 0.0}],
