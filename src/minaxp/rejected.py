@@ -30,15 +30,16 @@ search: an incumbent is accepted only once ``CoverProblem.holds`` passes
 on its pinned set.
 
 :func:`root_block` works out the root of a block of rows at once, and for
-each row it leaves to the search it builds the tail sums of the first
-``_TABLE_DEPTHS`` depths in bulk, cut to the root bound K.  The cut is
-exact: a node's tail is part of the root's and its budgets are no larger,
-and running sums of sorted non-negative values only grow when values are
-dropped, so no family fits more at a node than at the root, and the
-node's bound, the smallest count, is at most K.  ``bisect`` over the first
-K sums returns it unchanged.  Deeper depths, rows past
-``_SUFFIX_EXACT_LIMIT`` and rows searched on their own build each visited
-depth's sums when first visited (one sort, one cumulative sum).
+the rows it leaves to the search, as many as a block's bytes hold, it
+builds the tail sums of the first ``_TABLE_DEPTHS`` depths in bulk, cut to
+the root bound K.  The cut is exact: a node's tail is part of the root's
+and its budgets are no larger, and running sums of sorted non-negative
+values only grow when values are dropped, so no family fits more at a
+node than at the root, and the node's bound, the smallest count, is at
+most K.  ``bisect`` over the first K sums returns it unchanged.  Deeper
+depths, rows past ``_SUFFIX_EXACT_LIMIT``, rows past the block's table
+budget and rows searched on their own build each visited depth's sums when
+first visited (one sort, one cumulative sum).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .baseline import first_fit_columns, row_sets
-from .model import DEFAULT_EPSILON, CoverProblem, ExplanationKind
+from .model import _BLOCK_BYTES, DEFAULT_EPSILON, CoverProblem, ExplanationKind
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 30.0
@@ -183,7 +184,8 @@ def _search_pack(
     ``removed`` is the last removed position linked to its parent's chain,
     ``(position, removed)``, or None.  Insertion order breaks bound ties,
     with remove-children pushed first.  ``root``, when given, is the
-    :class:`SearchRoot` worked out for this order, its fills checked.
+    :class:`SearchRoot` worked out for this order; its fills are checked
+    here unless :meth:`SearchRoot.checked` has checked them.
     """
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
@@ -199,7 +201,8 @@ def _search_pack(
     if root is not None:
         # Both fills fell short of the bound: the longer one that held, the first on a tie.
         root_ub = root.bound
-        best_removed = max(root.fills, key=len, default=[])
+        fills = root.fills if root.pinned is None else [fill for fill in root.fills if holds(fill)]
+        best_removed = max(fills, key=len, default=[])
     else:
         root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
         # With a root bound of 0 the answer is the active set, which already holds.
@@ -265,24 +268,24 @@ def _search_pack(
 class SearchRoot:
     """The root of one row's search, as :func:`root_block` works it out: the
     features in the branch order, the two slacks, the root bound, the
-    branch positions each fill frees with its pinned set, and the tail
-    sums of depths 1 to ``len(tables)`` (:func:`_tail_tables`).  From
-    :func:`root_block` the fills are those of both fill orders;
-    :meth:`checked` keeps those whose pinned sets pass
-    ``CoverProblem.holds``, and the search starts from a checked root."""
+    branch positions each fill frees, and the tail sums of depths 1 to
+    ``len(tables)`` (:func:`_tail_tables`).  From :func:`root_block` the
+    fills are those of both fill orders, yet to be checked, and ``pinned``
+    holds their pinned sets; :meth:`checked` keeps the fills whose pinned
+    sets passed ``CoverProblem.holds`` and sets ``pinned`` to None.  The
+    search checks the fills of a root that is not yet checked itself."""
 
     order: np.ndarray
     budget_up: float
     budget_down: float
     bound: int
     fills: list[list[int]]
-    pinned: list[np.ndarray]
+    pinned: list[np.ndarray] | None
     tables: np.ndarray
 
     def checked(self, held: list[bool]) -> SearchRoot:
-        """This root with only the fills whose pinned sets ``held``."""
-        keep = [k for k, ok in enumerate(held) if ok]
-        return replace(self, fills=[self.fills[k] for k in keep], pinned=[self.pinned[k] for k in keep])
+        """This root with only the fills whose pinned sets ``held``, checked."""
+        return replace(self, fills=[fill for fill, ok in zip(self.fills, held) if ok], pinned=None)
 
 
 def solve_rejection_ilp(
@@ -306,7 +309,8 @@ def solve_rejection_ilp(
     equal costs the lower index stays pinned.  Its starting incumbent frees
     each feature of that order that still fits both slacks (first fit).
     Given the ``root`` that :func:`root_block` found for this problem, the
-    search starts from it.
+    search starts from it, and takes a fill of it as its incumbent only
+    once the fill has passed ``problem.holds`` (:class:`SearchRoot`).
     """
     start = time.perf_counter()
     eps = DEFAULT_EPSILON
@@ -354,6 +358,11 @@ def root_block(
     set fails ``holds`` or is not the first row's gets None.  Each step
     adds, sorts and compares what the row's own solver does, so the
     counts, sets and roots are its own.
+
+    The tables of a block's searched rows keep at most ``_BLOCK_BYTES``:
+    rows past that budget get none, and their search sorts each depth it
+    visits.  They are built a chunk of rows at a time, each chunk's
+    temporaries within about ``_BLOCK_BYTES`` too (one row at least).
     """
     eps = DEFAULT_EPSILON
     rows = gain_up.shape[0]
@@ -394,9 +403,10 @@ def root_block(
     # branch order (cost ascending, ties by descending index), and in the
     # surrogate order (ties by ascending index).  The first that meets the
     # bound settles the row.
-    branch = (m - 1) - _stable_argsort((up + down)[:, ::-1])
+    branch = (m - 1) - np.argsort((up + down)[:, ::-1], axis=1, kind="stable")
     fill = (open_rows & (root > 0)).nonzero()[0]
-    orders = np.stack((branch[fill], _stable_argsort(up[fill] + lam[fill, None] * down[fill])), axis=1)
+    surrogate = np.argsort(up[fill] + lam[fill, None] * down[fill], axis=1, kind="stable")
+    orders = np.stack((branch[fill], surrogate), axis=1)
     caps = np.stack((budget_up[fill], budget_down[fill])) + eps
     freed = _first_fits(up[fill], down[fill], orders, caps)
     met = np.count_nonzero(freed, axis=2) >= root[fill, None]
@@ -414,12 +424,19 @@ def root_block(
         freed = ~kept[short]
         fills = row_sets(np.take_along_axis(freed, order[:, None, :], axis=2).reshape(-1, m))
         fill_pinned = row_sets(kept[short].reshape(-1, m), active)
+        bound = root[searched]
         tables = [()] * searched.size
         if m <= _SUFFIX_EXACT_LIMIT:
-            tables = _tail_tables(np.stack(tuple(families(searched)), axis=1), order, root[searched])
+            # A row's tables keep 32 * depths bytes per sum, and a chunk's
+            # (rows, depths, 4, width) sums take 32 * depths * width a row.
+            tabled = int(np.count_nonzero(np.cumsum(bound) <= _BLOCK_BYTES // (32 * _TABLE_DEPTHS)))
+            step = max(1, _BLOCK_BYTES // (32 * _TABLE_DEPTHS * min(m, int(bound.max()) + _TABLE_DEPTHS)))
+            for at in range(0, tabled, step):
+                part = slice(at, min(at + step, tabled))
+                tables[part] = _tail_tables(np.stack(tuple(families(searched[part])), axis=1), order[part], bound[part])
         for k, i in enumerate(searched.tolist()):
             roots[i] = SearchRoot(
-                active[order[k]], float(budget_up[i]), float(budget_down[i]), int(root[i]),
+                active[order[k]], float(budget_up[i]), float(budget_down[i]), int(bound[k]),
                 [fill.tolist() for fill in fills[2 * k : 2 * k + 2]], fill_pinned[2 * k : 2 * k + 2], tables[k],
             )
     chosen = row_sets(pinned, active)
@@ -449,17 +466,6 @@ def _first_fits(up: np.ndarray, down: np.ndarray, orders: np.ndarray, caps: np.n
     return first_fit_columns(np.zeros(caps.shape), columns, caps).reshape(f, 2, m)
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")``.  A row without equal keys
-    has one sorted order, which the faster default sort finds too."""
-    order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-    return order
-
-
 def _tail_tables(values: np.ndarray, order: np.ndarray, bound: np.ndarray) -> list[np.ndarray]:
     """Each row's :meth:`_TailSums.at` of depths 1 to ``_TABLE_DEPTHS``, the
     first ``bound`` sums of each family, as a ``(depths, 4, bound)`` array,
@@ -473,7 +479,8 @@ def _tail_tables(values: np.ndarray, order: np.ndarray, bound: np.ndarray) -> li
     ``max(bound) + depths`` cheapest of each family, with the values before
     the depth masked to infinity, is sorted and accumulated, as ``at``
     sorts and accumulates the whole tail.  Past the end of a tail shorter
-    than ``bound`` the sums are infinite.
+    than ``bound`` the sums are infinite.  Each row's table is a copy, so
+    the sums of the whole chunk are freed once this returns.
     """
     s, _, m = values.shape
     depths = np.arange(1, min(_TABLE_DEPTHS, m - 1) + 1)
@@ -488,4 +495,4 @@ def _tail_tables(values: np.ndarray, order: np.ndarray, bound: np.ndarray) -> li
     tails = np.where(position[:, None] >= depths[:, None, None], values[:, None], np.inf)
     tails.sort(axis=3)
     sums = np.add.accumulate(tails[..., :top], axis=3)
-    return [table[..., :k] for table, k in zip(sums, bound.tolist())]
+    return [table[..., :k].copy() for table, k in zip(sums, bound.tolist())]

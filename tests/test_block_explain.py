@@ -266,15 +266,16 @@ def _search_cases():
 
 def _search_roots(clf, X):
     """``(problem, root)`` of each rejected row of ``X``'s first block that
-    ``root_block`` leaves to the search, its fills checked with ``holds``."""
+    ``root_block`` leaves to the search, its fills checked with ``holds``
+    (``SearchRoot.checked``) on every other row and left to the search on
+    the rest."""
     problems = next(model_module.cover_problem_blocks(clf, X))
     rows = [i for i, p in enumerate(problems) if p is not None and p.label is Label.REJECT]
     m, block = clf.model, problems.block
     found = rejected.root_block(block[rows, 0], block[rows, 1], m.top, m.bottom, clf.t_plus, clf.t_minus)
-    for i, root in zip(rows, found):
-        if isinstance(root, rejected.SearchRoot):
-            problem = problems[i]
-            yield problem, root.checked([problem.holds(pinned) for pinned in root.pinned])
+    roots = [(problems[i], root) for i, root in zip(rows, found) if isinstance(root, rejected.SearchRoot)]
+    for k, (problem, root) in enumerate(roots):
+        yield problem, root.checked([problem.holds(pinned) for pinned in root.pinned]) if k % 2 else root
 
 
 @pytest.mark.parametrize("node_limit", [0, 1, 7, rejected.DEFAULT_NODE_LIMIT])
@@ -348,9 +349,47 @@ def test_settle_keeps_only_the_fills_that_hold(monkeypatch):
         if isinstance(root, rejected.SearchRoot):
             own = broken[id(root.order)]
             assert problems[live[k]].holds(own.pinned[1])
-            assert root.fills == [own.fills[1]] and root.pinned == [own.pinned[1]]
+            assert root.fills == [own.fills[1]] and root.pinned is None
             kept += 1
     assert kept >= 20
+
+
+def test_search_takes_no_unchecked_fill_that_fails():
+    # A root not yet checked whose first fill frees every feature, which no
+    # rejected row's need allows: the search checks it, drops it and finds
+    # what it finds alone.
+    roots = 0
+    for problem, root in _search_roots(*_rows(1, 24, 400, 0.5, zero_every=7)):
+        if root.pinned is None:
+            continue
+        everything = list(range(root.order.size))
+        alone = rejected.solve_rejection_ilp(problem)
+        broken = dataclasses.replace(root, fills=[everything, root.fills[1]])
+        broken = rejected.solve_rejection_ilp(problem, root=broken)
+        assert problem.holds(broken.selected)
+        assert (broken.objective, broken.optimal) == (alone.objective, alone.optimal)
+        roots += 1
+    assert roots >= 8
+
+
+def test_block_tables_within_the_byte_budget(monkeypatch):
+    # With a byte budget that keeps the first five searched rows' tables
+    # and builds them a row at a time, those five are the tables built for
+    # the whole block, and the rows past it, searched with no tables, give
+    # the search alone.
+    clf, X = _narrow_band(7, 200, 120)
+    whole = list(_search_roots(clf, X))
+    assert len(whole) >= 8
+    per_sum = 32 * rejected._TABLE_DEPTHS
+    monkeypatch.setattr(rejected, "_BLOCK_BYTES", per_sum * sum(root.bound for _, root in whole[:5]))
+    budgeted = list(_search_roots(clf, X))
+    assert [len(root.tables) for _, root in budgeted[5:]] == [0] * (len(whole) - 5)
+    for (_, a), (_, b) in zip(whole[:5], budgeted):
+        assert b.tables.base is None and a.tables.tolist() == b.tables.tolist()
+    for problem, root in budgeted[5:]:
+        with_root, alone = rejected.solve_rejection_ilp(problem, root=root), rejected.solve_rejection_ilp(problem)
+        assert (with_root.objective, with_root.nodes_explored) == (alone.objective, alone.nodes_explored)
+        np.testing.assert_array_equal(with_root.selected, alone.selected)
 
 
 @pytest.mark.parametrize("limits", [{"node_limit": 0}, {"node_limit": 1}, {"time_limit": 0.0}],
