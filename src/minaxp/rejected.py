@@ -29,23 +29,22 @@ certified without branching.  The running per-node sums only steer the
 search: an incumbent is accepted only once ``CoverProblem.holds`` passes
 on its pinned set.
 
-:func:`root_block` works out the root of a block of rows at once, and for
-the rows it leaves to the search, as many as a block's bytes hold, it
-builds the tail sums of the first ``_TABLE_DEPTHS`` depths in bulk, cut to
-the root bound K.  The cut is exact: a node's tail is part of the root's
-and its budgets are no larger, and running sums of sorted non-negative
-values only grow when values are dropped, so no family fits more at a
-node than at the root, and the node's bound, the smallest count, is at
-most K.  ``bisect`` over the first K sums returns it unchanged.  Deeper
-depths, rows past ``_SUFFIX_EXACT_LIMIT``, rows past the block's table
-budget and rows searched on their own build each visited depth's sums when
-first visited (one sort, one cumulative sum).
+The bound reads the first K sums of each family, K being the root bound,
+never more.  The cut is exact: a node's tail is part of the root's and its
+budgets are no larger, and running sums of sorted non-negative values only
+grow when values are dropped, so no family fits more at a node than at the
+root, and the node's bound, the smallest count, is at most K.  ``bisect``
+over the first K sums returns it unchanged.  :func:`_tail_tables` builds
+those sums a chunk of ``_TABLE_DEPTHS`` depths at a time, from a window of
+each family's cheapest values, when the search first reaches the chunk;
+:func:`root_block` builds the first chunk in bulk for the rows of a block
+it leaves to the search, as many as a block's bytes hold.  A row that the
+fills settle builds no tables at all.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
@@ -58,13 +57,13 @@ from .model import _BLOCK_BYTES, DEFAULT_EPSILON, CoverProblem, ExplanationKind
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 30.0
 
-# Exact per-depth suffix bounds are cached lazily up to this many undecided
-# variables (quadratic memory in the worst case); larger problems fall back
-# to a single global gain ranking, which is weaker but still admissible.
+# Beyond this many undecided variables every depth's bound reads the whole
+# order's sums (one table), which is weaker but still admissible.
 _SUFFIX_EXACT_LIMIT = 3000
 
-# Depths whose tail sums root_block builds for each row it leaves to the
-# search; deeper ones are built when first visited.  An open reject-pack row
+# Depths in a chunk of tail sums (_tail_tables): root_block builds depths 1
+# to 16 in bulk for each row it leaves to the search, and a search builds
+# each further chunk when it first gets there.  An open reject-pack row
 # visits about 11 depths (p90 18).
 _TABLE_DEPTHS = 16
 
@@ -82,42 +81,37 @@ class IlpSolution:
 
 
 class _TailSums:
-    """Sorted prefix sums over the undecided tail of the branch order, per depth.
+    """Sorted prefix sums over the undecided tail of the branch order, per
+    depth, cut to the root bound ``bound``.
 
-    Four families: each constraint's costs alone, their sum and the
-    surrogate ``up + lam * down`` (feasible removals must fit all four).
-    Depths 1 to ``len(tables)`` are read from ``tables``, a
-    :class:`SearchRoot`'s ``(depths, 4, K)`` array, as lists, once per
-    visited depth.  Any other depth costs one sort and one cumulative sum
-    over all four, cheapest first, when first visited; the sums go into one
-    ``array('d')``, 8 bytes per value, and ``bisect`` reads each family
-    through a memoryview.  Beyond _SUFFIX_EXACT_LIMIT variables every depth
-    uses the whole order's sums.
+    Four families, the rows of ``values`` by branch position: each
+    constraint's costs alone, their sum and the surrogate ``up + lam *
+    down`` (feasible removals must fit all four).  The sums come from
+    :func:`_tail_tables` a chunk of depths at a time, when a depth of the
+    chunk is first visited; ``tables``, a :class:`SearchRoot`'s, is the
+    chunk of depths 1 to ``_TABLE_DEPTHS``.  A visited depth's sums become
+    lists once, cut at the tail's end.  Beyond _SUFFIX_EXACT_LIMIT
+    variables every depth reads depth 0, the whole order's sums.
     """
 
-    def __init__(self, up: np.ndarray, down: np.ndarray, lam: float, tables=()):
-        self.values = np.vstack((up, down, up + down, up + lam * down))
-        self.exact = up.size <= _SUFFIX_EXACT_LIMIT
-        self.tables = tables
+    def __init__(self, values: np.ndarray, bound: int, tables: np.ndarray | None = None):
+        self.values, self.bound = values, np.array([bound])
+        self.exact = values.shape[1] <= _SUFFIX_EXACT_LIMIT
+        self.chunks = {} if tables is None else {1: tables}
         self.cache = {}
 
-    def at(self, depth: int):
-        """The four families' sums at ``depth``, each a list or memoryview."""
+    def at(self, depth: int) -> list[list[float]]:
+        """The four families' first ``bound`` sums at ``depth``."""
         if not self.exact:
             depth = 0
         tail = self.cache.get(depth)
         if tail is None:
-            families, width = self.values.shape[0], self.values.shape[1] - depth
-            if 0 < depth <= len(self.tables):
-                # Past the end of a tail shorter than the table, it reads infinity.
-                tail = self.cache[depth] = self.tables[depth - 1, :, :width].tolist()
-            else:
-                ordered = np.sort(self.values[:, depth:], axis=1)
-                flat = array("d", [0.0]) * (families * width)  # allocated exactly, unlike frombytes
-                sums = np.frombuffer(flat).reshape(families, width)
-                np.add.accumulate(ordered, axis=1, out=sums)
-                view = memoryview(flat)
-                tail = self.cache[depth] = tuple(view[f * width : (f + 1) * width] for f in range(families))
+            first = depth - (depth - 1) % _TABLE_DEPTHS if depth else 0
+            chunk = self.chunks.get(first)
+            if chunk is None:
+                chunk = self.chunks[first] = _tail_tables(self.values[None, :, first:], self.bound)[0]
+            # Past the end of a tail shorter than the bound, the chunk reads infinity.
+            tail = self.cache[depth] = chunk[depth - first, :, : self.values.shape[1] - depth].tolist()
         return tail
 
 
@@ -148,16 +142,8 @@ def _positions(link) -> list[int]:
     return positions
 
 
-def _pinned(order: np.ndarray, removed) -> np.ndarray:
-    """The sorted feature indices at every branch position but ``removed``."""
-    keep = np.ones(order.size, dtype=bool)
-    keep[removed] = False
-    return np.sort(order[keep])
-
-
-def _first_fit(positions, up, down, cap_up, cap_down, holds) -> list[int]:
-    """Free each of ``positions`` in turn whose costs still fit both caps;
-    unless ``holds`` accepts the result, free nothing."""
+def _first_fit(positions, up, down, cap_up, cap_down) -> list[int]:
+    """Each of ``positions`` freed in turn whose costs still fit both caps."""
     freed = []
     su = sd = 0.0
     for p in positions:
@@ -167,7 +153,7 @@ def _first_fit(positions, up, down, cap_up, cap_down, holds) -> list[int]:
             freed.append(p)
             su = u
             sd = d
-    return freed if holds(freed) else []
+    return freed
 
 
 def _search_pack(
@@ -190,35 +176,50 @@ def _search_pack(
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
     c_up, c_down = problem.gain_up[order], problem.gain_down[order]
-    sums = _TailSums(c_up, c_down, lam, () if root is None else root.tables)
+    values = np.array(tuple(_families(c_up, c_down, lam)))
     up, down = c_up.tolist(), c_down.tolist()
+    features = np.zeros(problem.gain_up.size, dtype=bool)
+    features[order] = True
 
-    def holds(removed) -> bool:
-        return problem.holds(_pinned(order, removed))
+    def pinned(removed) -> np.ndarray:
+        """The sorted feature indices at every branch position but ``removed``."""
+        mask = features.copy()
+        mask[order[removed]] = False
+        return mask.nonzero()[0]
 
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
+    best_removed, best_pinned = [], None  # the incumbent's pinned set, once holds has passed it
     if root is not None:
         # Both fills fell short of the bound: the longer one that held, the first on a tie.
         root_ub = root.bound
-        fills = root.fills if root.pinned is None else [fill for fill in root.fills if holds(fill)]
+        fills = root.fills if root.pinned is None else [fill for fill in root.fills if problem.holds(pinned(fill))]
         best_removed = max(fills, key=len, default=[])
     else:
-        root_ub = _pack_bound(sums.at(0), budget_up, budget_down, lam, eps)
-        # With a root bound of 0 the answer is the active set, which already holds.
-        best_removed = _first_fit(range(m), up, down, cap_up, cap_down, holds) if root_ub else []
-    if root is None and len(best_removed) < root_ub:
-        # A fill in the surrogate order, ties by ascending index, so that at
-        # lam = 1 it does not repeat the first (ties by descending index).
-        surrogate_order = np.lexsort((order, sums.values[3])).tolist()
-        second = _first_fit(surrogate_order, up, down, cap_up, cap_down, holds)
-        if len(second) > len(best_removed):
-            best_removed = second
+        root_ub = min(_fitting(values, np.array(_limits(budget_up, budget_down, lam, eps))).tolist())
+        # With a root bound of 0 the answer is the active set, which already
+        # holds.  Else a fill in the branch order, then one in the surrogate
+        # order, ties by ascending index, so that at lam = 1 it does not
+        # repeat the first (ties by descending index).  Gains are not
+        # negative, so a position whose gains alone overrun a cap is never freed.
+        if root_ub:
+            fits = ((c_up <= cap_up) & (c_down <= cap_down)).nonzero()[0]
+            # The second walk is sorted only when the first falls short.
+            walks = (fits if k == 0 else fits[np.lexsort((order[fits], values[3, fits]))] for k in range(2))
+            for walk in walks:
+                freed = _first_fit(walk.tolist(), up, down, cap_up, cap_down)
+                if len(freed) > len(best_removed):
+                    freed_pinned = pinned(freed)
+                    if problem.holds(freed_pinned):
+                        best_removed, best_pinned = freed, freed_pinned
+                if len(best_removed) >= root_ub:
+                    break
     best_count = len(best_removed)
     seq = 0
     heap = []
     if root_ub > best_count:
         heap.append((-root_ub, seq, 0, 0, 0.0, 0.0, None))
+        sums = _TailSums(values, root_ub, None if root is None else root.tables)
     nodes = 0
     optimal = True
 
@@ -241,9 +242,9 @@ def _search_pack(
             c_count = count + 1
             if c_count > best_count:
                 positions = _positions(c_removed)
-                if holds(positions):
-                    best_count = c_count
-                    best_removed = positions
+                c_pinned = pinned(positions)
+                if problem.holds(c_pinned):
+                    best_count, best_removed, best_pinned = c_count, positions, c_pinned
             if tail is not None:
                 cub = c_count + _pack_bound(tail, budget_up - c_ru, budget_down - c_rd, lam, eps)
                 if cub > best_count:
@@ -258,7 +259,7 @@ def _search_pack(
 
     objective = m - best_count
     return IlpSolution(
-        _pinned(order, best_removed), objective, optimal, nodes,
+        pinned(best_removed) if best_pinned is None else best_pinned, objective, optimal, nodes,
         time.perf_counter() - start,
         objective if optimal else m + neg_ub,  # -neg_ub: the best outstanding bound
     )
@@ -269,7 +270,8 @@ class SearchRoot:
     """The root of one row's search, as :func:`root_block` works it out: the
     features in the branch order, the two slacks, the root bound, the
     branch positions each fill frees, and the tail sums of depths 1 to
-    ``len(tables)`` (:func:`_tail_tables`).  From :func:`root_block` the
+    ``_TABLE_DEPTHS`` (:func:`_tail_tables`), or None past the block's table
+    budget.  From :func:`root_block` the
     fills are those of both fill orders, yet to be checked, and ``pinned``
     holds their pinned sets; :meth:`checked` keeps the fills whose pinned
     sets passed ``CoverProblem.holds`` and sets ``pinned`` to None.  The
@@ -281,7 +283,7 @@ class SearchRoot:
     bound: int
     fills: list[list[int]]
     pinned: list[np.ndarray] | None
-    tables: np.ndarray
+    tables: np.ndarray | None
 
     def checked(self, held: list[bool]) -> SearchRoot:
         """This root with only the fills whose pinned sets ``held``, checked."""
@@ -360,8 +362,8 @@ def root_block(
     counts, sets and roots are its own.
 
     The tables of a block's searched rows keep at most ``_BLOCK_BYTES``:
-    rows past that budget get none, and their search sorts each depth it
-    visits.  They are built a chunk of rows at a time, each chunk's
+    rows past that budget get none, and their search builds its first
+    chunk itself.  They are built a chunk of rows at a time, each chunk's
     temporaries within about ``_BLOCK_BYTES`` too (one row at least).
     """
     eps = DEFAULT_EPSILON
@@ -383,19 +385,8 @@ def root_block(
     lam = np.ones(rows)
     np.divide(budget_up, budget_down, out=lam, where=(budget_up > 0.0) & (budget_down > 0.0))
 
-    def families(at):
-        """_TailSums' four families of the rows ``at``, by feature, one at a time."""
-        yield up[at]
-        yield down[at]
-        yield up[at] + down[at]
-        yield up[at] + lam[at, None] * down[at]
-
-    # _TailSums at depth 0 and _pack_bound's four counts.
-    limits = (
-        budget_up + eps, budget_down + eps, budget_up + budget_down + 2.0 * eps,
-        budget_up + lam * budget_down + (1.0 + lam) * eps,
-    )
-    root = np.min([_fitting(family, limit) for family, limit in zip(families(slice(None)), limits)], axis=0)
+    families = zip(_families(up, down, lam[:, None]), _limits(budget_up, budget_down, lam, eps))
+    root = np.min([_fitting(family, limit) for family, limit in families], axis=0)
     settled = open_rows & (root == 0)
     pinned = np.zeros((rows, m), dtype=bool)
     pinned[settled] = True
@@ -405,10 +396,11 @@ def root_block(
     # bound settles the row.
     branch = (m - 1) - np.argsort((up + down)[:, ::-1], axis=1, kind="stable")
     fill = (open_rows & (root > 0)).nonzero()[0]
-    surrogate = np.argsort(up[fill] + lam[fill, None] * down[fill], axis=1, kind="stable")
+    fill_up, fill_down = up[fill], down[fill]
+    surrogate = np.argsort(fill_up + lam[fill, None] * fill_down, axis=1, kind="stable")
     orders = np.stack((branch[fill], surrogate), axis=1)
     caps = np.stack((budget_up[fill], budget_down[fill])) + eps
-    freed = _first_fits(up[fill], down[fill], orders, caps)
+    freed = _first_fits(fill_up, fill_down, orders, caps)
     met = np.count_nonzero(freed, axis=2) >= root[fill, None]
     kept = np.ones(freed.shape, dtype=bool)
     np.put_along_axis(kept, orders, ~freed, axis=2)
@@ -425,7 +417,7 @@ def root_block(
         fills = row_sets(np.take_along_axis(freed, order[:, None, :], axis=2).reshape(-1, m))
         fill_pinned = row_sets(kept[short].reshape(-1, m), active)
         bound = root[searched]
-        tables = [()] * searched.size
+        tables = [None] * searched.size
         if m <= _SUFFIX_EXACT_LIMIT:
             # A row's tables keep 32 * depths bytes per sum, and a chunk's
             # (rows, depths, 4, width) sums take 32 * depths * width a row.
@@ -433,7 +425,10 @@ def root_block(
             step = max(1, _BLOCK_BYTES // (32 * _TABLE_DEPTHS * min(m, int(bound.max()) + _TABLE_DEPTHS)))
             for at in range(0, tabled, step):
                 part = slice(at, min(at + step, tabled))
-                tables[part] = _tail_tables(np.stack(tuple(families(searched[part])), axis=1), order[part], bound[part])
+                # Each family from depth 1 in the branch order.
+                tail = (np.take_along_axis(gains[searched[part]], order[part, 1:], axis=1) for gains in (up, down))
+                families = _families(*tail, lam[searched[part], None])
+                tables[part] = _tail_tables(np.stack(tuple(families), axis=1), bound[part])
         for k, i in enumerate(searched.tolist()):
             roots[i] = SearchRoot(
                 active[order[k]], float(budget_up[i]), float(budget_down[i]), int(bound[k]),
@@ -443,12 +438,29 @@ def root_block(
     return [chosen[i] if ok else roots.get(i) for i, ok in enumerate(settled.tolist())]
 
 
+def _families(up, down, lam):
+    """_TailSums' four families, one at a time: ``up``, ``down``, their
+    sum and the surrogate ``up + lam * down``."""
+    yield up
+    yield down
+    yield up + down
+    yield up + lam * down
+
+
+def _limits(budget_up, budget_down, lam, eps) -> tuple:
+    """The four families' limits at the root, as :func:`_pack_bound` sets them."""
+    return (
+        budget_up + eps, budget_down + eps, budget_up + budget_down + 2.0 * eps,
+        budget_up + lam * budget_down + (1.0 + lam) * eps,
+    )
+
+
 def _fitting(family: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """How many of each row's cheapest values in ``family`` keep their
     running sum at or below the row's ``limit``."""
     sums = np.sort(family, axis=1)
     np.add.accumulate(sums, axis=1, out=sums)
-    return np.count_nonzero(sums <= limit[:, None], axis=1)
+    return np.add.reduce(sums <= limit[:, None], axis=1)
 
 
 def _first_fits(up: np.ndarray, down: np.ndarray, orders: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -466,32 +478,31 @@ def _first_fits(up: np.ndarray, down: np.ndarray, orders: np.ndarray, caps: np.n
     return first_fit_columns(np.zeros(caps.shape), columns, caps).reshape(f, 2, m)
 
 
-def _tail_tables(values: np.ndarray, order: np.ndarray, bound: np.ndarray) -> list[np.ndarray]:
-    """Each row's :meth:`_TailSums.at` of depths 1 to ``_TABLE_DEPTHS``, the
-    first ``bound`` sums of each family, as a ``(depths, 4, bound)`` array,
-    from whole-matrix operations.
+def _tail_tables(values: np.ndarray, bound: np.ndarray) -> list[np.ndarray]:
+    """Each row's tail sums at a chunk of depths, the first ``bound`` sums
+    of each family (fewer if the chunk's first tail is shorter), as a
+    ``(depths, 4, bound)`` array, from whole-matrix operations.
 
-    ``values`` is ``(s, 4, m)``, the four families of each row by feature,
-    ``order`` each row's features in the branch order and ``bound`` each
-    row's root bound.  The tail at depth d is the features at branch
-    positions d and up.  At most d of the ``bound + d`` cheapest values of a family lie
-    before it, so its ``bound`` cheapest lie among them: a window of the
-    ``max(bound) + depths`` cheapest of each family, with the values before
-    the depth masked to infinity, is sorted and accumulated, as ``at``
-    sorts and accumulates the whole tail.  Past the end of a tail shorter
-    than ``bound`` the sums are infinite.  Each row's table is a copy, so
-    the sums of the whole chunk are freed once this returns.
+    ``values`` is ``(s, 4, w)``: each row's four families over the tail at
+    the chunk's first depth, in the branch order, and ``bound`` each row's
+    root bound.  The chunk is that depth and the next ones, up to
+    ``_TABLE_DEPTHS`` of them and not past the tail's last value.  At the
+    chunk's i-th depth the tail has lost its first i values, so its
+    ``bound`` cheapest lie among the ``bound + i`` cheapest of the chunk's:
+    a window of the ``max(bound) + depths`` cheapest of each family, with
+    the values before the depth masked to infinity, is sorted and
+    accumulated, as a sort of the whole tail would be.  Past the end of a
+    tail shorter than ``bound`` the sums are infinite.  Each row's table is
+    a copy, so the sums of the whole chunk are freed once this returns.
     """
-    s, _, m = values.shape
-    depths = np.arange(1, min(_TABLE_DEPTHS, m - 1) + 1)
+    w = values.shape[2]
+    depths = np.arange(min(_TABLE_DEPTHS, w))
     top = int(bound.max())
-    width = min(m, top + depths.size)
-    position = np.empty((s, 1, m), dtype=np.intp)
-    np.put_along_axis(position, order[:, None, :], np.arange(m), axis=2)
-    if width < m:
-        cheapest = np.argpartition(values, width - 1, axis=2)[:, :, :width]
-        values = np.take_along_axis(values, cheapest, axis=2)
-        position = np.take_along_axis(position, cheapest, axis=2)
+    width = min(w, top + depths.size)
+    position = np.arange(w)[None, None]
+    if width < w:
+        position = np.argpartition(values, width - 1, axis=2)[:, :, :width]
+        values = np.take_along_axis(values, position, axis=2)
     tails = np.where(position[:, None] >= depths[:, None, None], values[:, None], np.inf)
     tails.sort(axis=3)
     sums = np.add.accumulate(tails[..., :top], axis=3)

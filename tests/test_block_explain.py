@@ -33,6 +33,7 @@ from minaxp import (
 from minaxp.classified import greedy_block
 
 from conftest import BOUNDARY_CASES, boundary_case, write_csv
+import per_depth_rejected
 
 METHODS = ("minabro", "baseline", "both")
 
@@ -295,9 +296,11 @@ def test_search_from_the_block_root_is_the_search_alone(monkeypatch, node_limit)
             deepest.clear()
             with_root = rejected.solve_rejection_ilp(problem, node_limit, root=root)
             alone = rejected.solve_rejection_ilp(problem, node_limit)
+            frozen = per_depth_rejected.solve_rejection_ilp(problem, node_limit)
             for field in ("objective", "optimal", "nodes_explored", "lower_bound"):
-                assert getattr(with_root, field) == getattr(alone, field), (case, field)
+                assert getattr(with_root, field) == getattr(alone, field) == getattr(frozen, field), (case, field)
             np.testing.assert_array_equal(with_root.selected, alone.selected)
+            np.testing.assert_array_equal(alone.selected, frozen.selected)
             searched[case] += 1
             searched["deep"] += max(deepest.values(), default=0) > rejected._TABLE_DEPTHS
     assert min(searched[case] for case in range(5)) >= 8, searched
@@ -307,20 +310,24 @@ def test_search_from_the_block_root_is_the_search_alone(monkeypatch, node_limit)
 
 def test_block_tables_are_the_first_tail_sums():
     # The tail sums a root carries, as _TailSums serves them at each tabled
-    # depth, are the first K (the root bound) of the sums _TailSums builds
-    # itself there, family by family; a tail shorter than K keeps them all.
+    # depth, are the first K (the root bound) of the running sums of the
+    # whole sorted tail there, family by family; a tail shorter than K
+    # keeps them all.
     tables = short = 0
     for clf, X in _search_cases():
         for problem, root in _search_roots(clf, X):
             m, budgets = root.order.size, (root.budget_up, root.budget_down)
             lam = budgets[0] / budgets[1] if min(budgets) > 0.0 else 1.0
             gains = problem.gain_up[root.order], problem.gain_down[root.order]
-            served, built = rejected._TailSums(*gains, lam, root.tables), rejected._TailSums(*gains, lam)
+            values = np.stack(tuple(rejected._families(*gains, lam)))
+            served = rejected._TailSums(values, root.bound, root.tables)
             assert len(root.tables) == min(rejected._TABLE_DEPTHS, m - 1)
             for depth in range(1, len(root.tables) + 1):
-                for family, (table, sums) in enumerate(zip(served.at(depth), built.at(depth))):
-                    assert table == list(sums[: root.bound]), (depth, family)
+                whole = np.add.accumulate(np.sort(values[:, depth:], axis=1), axis=1)
+                for family, (table, sums) in enumerate(zip(served.at(depth), whole)):
+                    assert table == sums[: root.bound].tolist(), (depth, family)
                 short += m - depth < root.bound
+            assert list(served.chunks) == [1]
             tables += 1
     assert tables >= 100 and short >= 100, (tables, short)
 
@@ -383,7 +390,7 @@ def test_block_tables_within_the_byte_budget(monkeypatch):
     per_sum = 32 * rejected._TABLE_DEPTHS
     monkeypatch.setattr(rejected, "_BLOCK_BYTES", per_sum * sum(root.bound for _, root in whole[:5]))
     budgeted = list(_search_roots(clf, X))
-    assert [len(root.tables) for _, root in budgeted[5:]] == [0] * (len(whole) - 5)
+    assert [root.tables for _, root in budgeted[5:]] == [None] * (len(whole) - 5)
     for (_, a), (_, b) in zip(whole[:5], budgeted):
         assert b.tables.base is None and a.tables.tolist() == b.tables.tolist()
     for problem, root in budgeted[5:]:

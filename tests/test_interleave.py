@@ -32,3 +32,27 @@ def test_two_checkouts_alternate_in_one_process(capsys, monkeypatch):
         "reject-pack parent", "reject-pack change", "reject-pack parent/change"
     ]
     assert lines[2].rsplit(" ", 1)[1].endswith("/3")
+
+
+def test_latency_passes_of_two_checkouts(capsys, monkeypatch):
+    # One minabro call per row of 40, on each side's own classifier.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    calls = {}
+    try:
+        assert interleave.main(["--parent", str(ROOT), "--workload", "reject-pack", "--seed", "5",
+                                "--rows", "40", "--passes", "3", "--latency"]) == 0
+        for side in interleave.SIDES:
+            calls[side] = sys.modules[f"minaxp_{side}.explain"]
+    finally:
+        for name in _imported():
+            del sys.modules[name]
+    assert calls["parent"] is not calls["change"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "reject-pack parent", "reject-pack change", "reject-pack parent/change p50",
+        "reject-pack parent/change p95",
+    ]
+    for line in lines[:2]:
+        p50, p95 = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
+        assert 0.0 < p50 <= p95
+    assert all(line.endswith("/3") for line in lines[2:])

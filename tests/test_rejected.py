@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import minaxp.rejected as rejected_mod
 from minaxp import (
@@ -241,3 +243,50 @@ def test_lower_bound_brackets_the_minimum():
             assert solution.optimal == (solution.lower_bound == solution.objective)
             uncertified += not solution.optimal
     assert uncertified >= 30
+
+
+_GAINS = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), st.floats(0.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def _tail_families(draw):
+    """Rows of four families (up, down, their sum, the surrogate) over the
+    same branch positions, each row with its root bound: ties, zero gains,
+    a bound of 0 and bounds at or past the tail's length."""
+    m = draw(st.integers(1, 3 * rejected_mod._TABLE_DEPTHS + 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        up, down = (np.array(draw(st.lists(_GAINS, min_size=m, max_size=m))) for _ in range(2))
+        lam = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        rows.append((np.stack(tuple(rejected_mod._families(up, down, lam))), draw(st.integers(0, m + 2))))
+    return rows
+
+
+def _whole_tail_sums(values, depth, bound):
+    """Each family's first ``bound`` running sums over the whole sorted tail at ``depth``."""
+    return np.add.accumulate(np.sort(values[:, depth:], axis=1), axis=1)[:, :bound].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_families())
+@example([(np.zeros((4, 1)), 1)])
+@example([(np.zeros((4, 2)), 0), (np.ones((4, 2)), 3)])
+def test_tail_tables_are_the_first_sums_of_each_depth(rows):
+    # Bit for bit, at every depth from 1 to m - 1: _TailSums' chunks, built
+    # as the search reaches them, and the first chunk built for several
+    # rows at once, as root_block builds it.
+    m = rows[0][0].shape[1]
+    for values, bound in rows:
+        sums = rejected_mod._TailSums(values, bound)
+        for depth in range(1, m):
+            assert sums.at(depth) == _whole_tail_sums(values, depth, bound), depth
+        assert sorted(sums.chunks) == list(range(1, m, rejected_mod._TABLE_DEPTHS))
+    if m > 1:
+        bounds = np.array([bound for _, bound in rows])
+        tables = rejected_mod._tail_tables(np.stack([values[:, 1:] for values, _ in rows]), bounds)
+        for (values, bound), table in zip(rows, tables):
+            assert table.shape == (min(rejected_mod._TABLE_DEPTHS, m - 1), 4, min(bound, m - 1))
+            for depth in range(1, len(table) + 1):
+                cut = table[depth - 1, :, : m - depth].tolist()
+                assert cut == _whole_tail_sums(values, depth, bound), depth
+                assert np.isinf(table[depth - 1, :, m - depth :]).all()

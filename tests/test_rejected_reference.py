@@ -20,6 +20,13 @@ branch on every case and its cover helpers (``_cover_count``,
 is verbatim.
 The two-view solver, kept whole in ``two_view_rejected.py``, checks that
 the single view is never worse.
+
+The root-less search as it stood before its tail sums came from tables cut
+to the root bound, kept whole in ``per_depth_rejected.py``, sorted each
+visited depth's whole tail.  Its tree is the solver's: the same selected
+set, objective, certificate, node count and lower bound on every case, at
+every node cap, with whole-order bounds, and on searches that go many
+table chunks deep.
 """
 
 import heapq
@@ -32,6 +39,7 @@ import numpy as np
 import pytest
 
 import minaxp.rejected as rejected
+import per_depth_rejected
 import two_view_rejected
 from minaxp import DEFAULT_EPSILON, ExplanationKind, Instance, LinearModel, RejectClassifier, unit_box
 from minaxp.model import cover_problem
@@ -414,6 +422,53 @@ def test_same_tree_with_whole_order_bounds(cases, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "_SUFFIX_EXACT_LIMIT", 0)
     for problem in cases[:120]:
         _never_worse(problem, NODE_CAP)
+
+
+def _same_as_per_depth_sorts(problem, node_limit):
+    """The solver's answer, with the root-less search's deepest depth, once
+    it has matched the frozen per-depth solver's field for field."""
+    deepest = 0
+    at = rejected._TailSums.at
+
+    def visit(sums, depth):
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        return at(sums, depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rejected._TailSums, "at", visit)
+        new = rejected.solve_rejection_ilp(problem, node_limit=node_limit, time_limit=math.inf)
+    old = per_depth_rejected.solve_rejection_ilp(problem, node_limit=node_limit, time_limit=math.inf)
+    assert new.selected.dtype == old.selected.dtype == np.intp
+    np.testing.assert_array_equal(new.selected, old.selected)
+    assert (new.objective, new.optimal, new.nodes_explored, new.lower_bound) == (
+        old.objective, old.optimal, old.nodes_explored, old.lower_bound,
+    )
+    return new, deepest
+
+
+@pytest.mark.parametrize("node_limit", [0, 1, 7, 50, NODE_CAP])
+def test_same_tree_as_the_per_depth_sorts(cases, node_limit):
+    solutions = [_same_as_per_depth_sorts(problem, node_limit)[0] for problem in cases]
+    assert sum(not s.optimal for s in solutions) >= (3 if node_limit == NODE_CAP else 20)
+
+
+def test_same_tree_as_the_per_depth_sorts_with_whole_order_bounds(cases, monkeypatch):
+    monkeypatch.setattr(rejected, "_SUFFIX_EXACT_LIMIT", 0)
+    monkeypatch.setattr(per_depth_rejected, "_SUFFIX_EXACT_LIMIT", 0)
+    for problem in cases[:120]:
+        _same_as_per_depth_sorts(problem, NODE_CAP)
+
+
+def test_same_tree_as_the_per_depth_sorts_many_chunks_deep():
+    # The regimes test_cross_check solves against HiGHS at a 200k node cap:
+    # searches that build table chunks far past the first, and one that
+    # stops at the cap with its bound short of its incumbent.
+    cross_check = pytest.importorskip("test_cross_check")
+    cases = list(cross_check._wide_band_cases()) + [p for p, _ in cross_check._once_hard_cases()]
+    runs = [_same_as_per_depth_sorts(problem, 200_000) for problem in cases]
+    assert sum(deepest > 2 * rejected._TABLE_DEPTHS for _, deepest in runs) >= 15
+    assert sum(not solution.optimal for solution, _ in runs) >= 1
 
 
 def test_single_view_never_worse_than_two_views(cases):

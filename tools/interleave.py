@@ -1,7 +1,7 @@
 """Same-process timing of two checkouts: alternating ``explain`` passes.
 
     python3 tools/interleave.py --parent DIR [--change DIR] --workload pipeline-n30 \
-        --seed 1001 --passes 30 [--rows N]
+        --seed 1001 --passes 30 [--rows N] [--latency]
 
 Both checkouts' ``src/minaxp`` are imported into this one process, under the
 names ``minaxp_parent`` and ``minaxp_change``; ``--change`` defaults to this
@@ -15,6 +15,13 @@ ratio is steadier than runs in separate processes.
 Printed: each side's median pass time with its quartiles, the median of the
 paired ratios parent / change (above 1 when the change is faster) and how
 many pairs the change won.
+
+With ``--latency`` a pass is instead what perfbench's latency passes time:
+one ``explain_instance(method="minabro")`` call per row, each timed on its
+own, on each side's own classifier and instances.  Printed: each side's p50
+and p95 as ``perfbench/run.py`` computes them (each row's mean over the
+passes, percentiles over the rows), then the median of the paired ratios of
+each pass's p50 and p95, parent / change, and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ def _parse(argv):
     parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--passes", type=int, default=30, help="pairs of passes")
     parser.add_argument("--rows", type=int, default=None, help="override the workload's row count")
+    parser.add_argument("--latency", action="store_true", help="time one minabro call per row instead")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
@@ -79,12 +87,58 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _percentiles(passes: list) -> tuple:
+    """p50 and p95 in ms of the rows' mean times over ``passes``, as perfbench computes them."""
+    percentiles = statistics.quantiles([statistics.fmean(times) for times in zip(*passes)], n=100)
+    return 1e3 * percentiles[49], 1e3 * percentiles[94]
+
+
+def _print_ratios(label: str, ratios: list) -> None:
+    q1, median, q3 = _quartiles(ratios)
+    won = sum(ratio > 1.0 for ratio in ratios)
+    print(f"{label}: median {median:.3f} [{q1:.3f}, {q3:.3f}], change won {won}/{len(ratios)}")
+
+
+def _latency(args, inputs) -> None:
+    """Alternating latency passes of both sides, as perfbench's worker times them."""
+    sides = {}
+    for side in SIDES:
+        dataio, model, explain = (importlib.import_module(f"minaxp_{side}.{name}")
+                                  for name in ("dataio", "model", "explain"))
+        bundle = dataio.load_model(str(inputs.model_path))
+        data = dataio.load_dataset(str(inputs.csv_path), scaling=bundle.scaling)
+        sides[side] = explain.explain_instance, bundle.classifier(), [model.Instance(v) for v in data.features]
+    passes = {side: [] for side in SIDES}
+    clock = time.perf_counter
+    for i in range(args.passes):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            explain_instance, clf, instances = sides[side]
+            times = []
+            for row, instance in enumerate(instances):
+                start = clock()
+                try:
+                    explain_instance(clf, instance, row, method="minabro")
+                except Exception:  # timed as perfbench times a row that fails
+                    pass
+                times.append(clock() - start)
+            passes[side].append(times)
+    for side in SIDES:
+        p50, p95 = _percentiles(passes[side])
+        print(f"{args.workload} {side}: p50 {p50:.4f} ms, p95 {p95:.4f} ms")
+    by_pass = [[_percentiles([p]), _percentiles([c])] for p, c in zip(passes["parent"], passes["change"])]
+    for k, name in enumerate(("p50", "p95")):
+        _print_ratios(f"{args.workload} parent/change {name}", [p[k] / c[k] for p, c in by_pass])
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     clis = {side: import_checkout(getattr(args, side), f"minaxp_{side}") for side in SIDES}
     seconds = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = _inputs(args.workload, args.seed, args.rows, Path(tmp))
+        if args.latency:
+            _latency(args, inputs)
+            return 0
         argv = ["explain", "--model", str(inputs.model_path), "--data", str(inputs.csv_path),
                 "--method", "both", "--out-report", str(Path(tmp) / "report.jsonl")]
         for i in range(args.passes):
@@ -99,10 +153,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         q1, median, q3 = (1e3 * value for value in _quartiles(seconds[side]))
         print(f"{args.workload} {side}: median {median:.2f} ms [{q1:.2f}, {q3:.2f}], IQR {q3 - q1:.2f} ms")
-    q1, median, q3 = _quartiles(ratios)
-    won = sum(ratio > 1.0 for ratio in ratios)
-    print(f"{args.workload} parent/change: median {median:.3f} [{q1:.3f}, {q3:.3f}], "
-          f"change won {won}/{len(ratios)}")
+    _print_ratios(f"{args.workload} parent/change", ratios)
     return 0
 
 
