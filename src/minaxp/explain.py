@@ -103,10 +103,10 @@ def _settle(problems: BlockProblems, live: list[int], names: tuple[str, ...]):
     """What whole-block kernels settle of the explainers ``names`` for the
     in-domain rows ``live`` of a block: the greedy's set of each accepted
     row, the solver's answer of each rejected row that needs no branching
-    (and the root of each that does), and the first fit of every row.  Every
-    set is checked at once (``model.block_verdicts``), with the two fills of
-    each root, which keeps the fills that hold (``SearchRoot.checked``).  A
-    block with fewer than ``_BLOCK_ROWS`` such rows is left open whole.
+    (and the root of each that does, whose search checks its fills), and
+    the first fit of every row.  Every set found is checked at once
+    (``model.block_verdicts``).  A block with fewer than ``_BLOCK_ROWS``
+    such rows is left open whole.
 
     Returns four columns in :func:`explain_block`'s report order: the index
     array that passed the check, or what is left open (a ``SearchRoot`` or
@@ -128,7 +128,6 @@ def _settle(problems: BlockProblems, live: list[int], names: tuple[str, ...]):
     for label, first in firsts.items():
         ceilings[by_label[label]], floors[by_label[label]] = first.ceiling, first.floor
     found_at, found = [], []  # the slots of the sets found, and the sets, to check
-    roots = []  # the slots of the rows left to the search
     if "minabro" in names:
         j = names.index("minabro")
         for label, first in firsts.items():
@@ -147,12 +146,11 @@ def _settle(problems: BlockProblems, live: list[int], names: tuple[str, ...]):
                 time_ms[k * m + j] = share
                 if label is Label.REJECT:
                     nodes[k * m + j] = 0
-                    if isinstance(idx, SearchRoot):
-                        indices[k * m + j] = idx
-                        roots.append(k * m + j)
                 if idx.__class__ is np.ndarray:
                     found_at.append(k * m + j)
                     found.append(idx)
+                else:
+                    indices[k * m + j] = idx  # a SearchRoot or None, left open
     if "baseline" in names:
         j = names.index("baseline")
         start = time.perf_counter()
@@ -160,19 +158,14 @@ def _settle(problems: BlockProblems, live: list[int], names: tuple[str, ...]):
         found += deletion_block(columns, np.array(problems.scores)[live], ceilings, floors)
         time_ms[j::m] = [(time.perf_counter() - start) * 1000.0 / r] * r
         found_at += range(j, r * m, m)
-    fills = [(slot, pinned) for slot in roots for pinned in indices[slot].pinned]
-    at = np.array(found_at + [slot for slot, _ in fills], dtype=np.intp) // m
+    at = np.array(found_at, dtype=np.intp) // m
     holds, on_limit = block_verdicts(
-        block, np.array(live)[at], found + [pinned for _, pinned in fills], ceilings[at], floors[at],
+        block, np.array(live)[at], found, ceilings[at], floors[at],
         problems.clf.model.top, problems.clf.model.bottom,
     )
-    holds = holds.tolist()
-    for slot, idx, ok, is_tight in zip(found_at, found, holds, on_limit.tolist()):
+    for slot, idx, ok, is_tight in zip(found_at, found, holds.tolist(), on_limit.tolist()):
         if ok:
             indices[slot], tight[slot] = idx, is_tight
-    held = iter(holds[len(found):])
-    for slot in roots:
-        indices[slot] = indices[slot].checked([next(held) for _ in indices[slot].pinned])
     return indices, nodes, time_ms, tight
 
 

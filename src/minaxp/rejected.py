@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -170,8 +170,9 @@ def _search_pack(
     ``removed`` is the last removed position linked to its parent's chain,
     ``(position, removed)``, or None.  Insertion order breaks bound ties,
     with remove-children pushed first.  ``root``, when given, is the
-    :class:`SearchRoot` worked out for this order; its fills are checked
-    here unless :meth:`SearchRoot.checked` has checked them.
+    :class:`SearchRoot` worked out for this order, whose fills stand in for
+    the two first-fit walks; either way a fill becomes the incumbent only
+    here, once its pinned set passes ``problem.holds``.
     """
     # With a slack that is not positive, lam = 1 copies the sum family.
     lam = budget_up / budget_down if budget_up > 0.0 and budget_down > 0.0 else 1.0
@@ -189,31 +190,32 @@ def _search_pack(
 
     m = len(up)
     cap_up, cap_down = budget_up + eps, budget_down + eps
-    best_removed, best_pinned = [], None  # the incumbent's pinned set, once holds has passed it
     if root is not None:
-        # Both fills fell short of the bound: the longer one that held, the first on a tie.
-        root_ub = root.bound
-        fills = root.fills if root.pinned is None else [fill for fill in root.fills if problem.holds(pinned(fill))]
-        best_removed = max(fills, key=len, default=[])
+        root_ub, fills = root.bound, root.fills
     else:
         root_ub = min(_fitting(values, np.array(_limits(budget_up, budget_down, lam, eps))).tolist())
-        # With a root bound of 0 the answer is the active set, which already
-        # holds.  Else a fill in the branch order, then one in the surrogate
-        # order, ties by ascending index, so that at lam = 1 it does not
-        # repeat the first (ties by descending index).  Gains are not
-        # negative, so a position whose gains alone overrun a cap is never freed.
-        if root_ub:
+
+        def walks():
+            # A fill in the branch order, then one in the surrogate order,
+            # ties by ascending index, so that at lam = 1 it does not repeat
+            # the first (ties by descending index).  Gains are not negative,
+            # so a position whose gains alone overrun a cap is never freed.
             fits = ((c_up <= cap_up) & (c_down <= cap_down)).nonzero()[0]
-            # The second walk is sorted only when the first falls short.
-            walks = (fits if k == 0 else fits[np.lexsort((order[fits], values[3, fits]))] for k in range(2))
-            for walk in walks:
-                freed = _first_fit(walk.tolist(), up, down, cap_up, cap_down)
-                if len(freed) > len(best_removed):
-                    freed_pinned = pinned(freed)
-                    if problem.holds(freed_pinned):
-                        best_removed, best_pinned = freed, freed_pinned
-                if len(best_removed) >= root_ub:
-                    break
+            yield _first_fit(fits.tolist(), up, down, cap_up, cap_down)
+            yield _first_fit(fits[np.lexsort((order[fits], values[3, fits]))].tolist(), up, down, cap_up, cap_down)
+
+        # With a root bound of 0 the answer is the active set, which already holds.
+        fills = walks() if root_ub else ()
+    # The first fill longer than the incumbent that holds becomes it; the
+    # second walk is made only when the first falls short of the bound.
+    best_removed, best_pinned = [], None  # the incumbent's pinned set, once holds has passed it
+    for fill in fills:
+        if len(fill) > len(best_removed):
+            fill_pinned = pinned(fill)
+            if problem.holds(fill_pinned):
+                best_removed, best_pinned = fill, fill_pinned
+        if len(best_removed) >= root_ub:
+            break
     best_count = len(best_removed)
     seq = 0
     heap = []
@@ -269,25 +271,18 @@ def _search_pack(
 class SearchRoot:
     """The root of one row's search, as :func:`root_block` works it out: the
     features in the branch order, the two slacks, the root bound, the
-    branch positions each fill frees, and the tail sums of depths 1 to
-    ``_TABLE_DEPTHS`` (:func:`_tail_tables`), or None past the block's table
-    budget.  From :func:`root_block` the
-    fills are those of both fill orders, yet to be checked, and ``pinned``
-    holds their pinned sets; :meth:`checked` keeps the fills whose pinned
-    sets passed ``CoverProblem.holds`` and sets ``pinned`` to None.  The
-    search checks the fills of a root that is not yet checked itself."""
+    ascending branch positions that each of the two fills frees, and the
+    tail sums of depths 1 to ``_TABLE_DEPTHS`` (:func:`_tail_tables`), or
+    None past the block's table budget.  The fills are unchecked: the
+    search takes one as its incumbent only once it passes
+    ``CoverProblem.holds``."""
 
     order: np.ndarray
     budget_up: float
     budget_down: float
     bound: int
-    fills: list[list[int]]
-    pinned: list[np.ndarray] | None
+    fills: list[np.ndarray]
     tables: np.ndarray | None
-
-    def checked(self, held: list[bool]) -> SearchRoot:
-        """This root with only the fills whose pinned sets ``held``, checked."""
-        return replace(self, fills=[fill for fill, ok in zip(self.fills, held) if ok], pinned=None)
 
 
 def solve_rejection_ilp(
@@ -355,8 +350,8 @@ def root_block(
     first fill's pinned set when it meets the bound, else the second
     fill's.  That set has yet to pass ``CoverProblem.holds``, as the
     solver's fills do; if it fails, the row's own solver decides.  A row
-    that needs the search gets its :class:`SearchRoot`, with both fills
-    yet to be checked and its first depths' tail sums; one whose active
+    that needs the search gets its :class:`SearchRoot`, with both fills,
+    which its search checks, and its first depths' tail sums; one whose active
     set fails ``holds`` or is not the first row's gets None.  Each step
     adds, sorts and compares what the row's own solver does, so the
     counts, sets and roots are its own.
@@ -415,7 +410,6 @@ def root_block(
         order = branch[searched]
         freed = ~kept[short]
         fills = row_sets(np.take_along_axis(freed, order[:, None, :], axis=2).reshape(-1, m))
-        fill_pinned = row_sets(kept[short].reshape(-1, m), active)
         bound = root[searched]
         tables = [None] * searched.size
         if m <= _SUFFIX_EXACT_LIMIT:
@@ -432,7 +426,7 @@ def root_block(
         for k, i in enumerate(searched.tolist()):
             roots[i] = SearchRoot(
                 active[order[k]], float(budget_up[i]), float(budget_down[i]), int(bound[k]),
-                [fill.tolist() for fill in fills[2 * k : 2 * k + 2]], fill_pinned[2 * k : 2 * k + 2], tables[k],
+                fills[2 * k : 2 * k + 2], tables[k],
             )
     chosen = row_sets(pinned, active)
     return [chosen[i] if ok else roots.get(i) for i, ok in enumerate(settled.tolist())]

@@ -267,16 +267,14 @@ def _search_cases():
 
 def _search_roots(clf, X):
     """``(problem, root)`` of each rejected row of ``X``'s first block that
-    ``root_block`` leaves to the search, its fills checked with ``holds``
-    (``SearchRoot.checked``) on every other row and left to the search on
-    the rest."""
+    ``root_block`` leaves to the search, as ``root_block`` returns it."""
     problems = next(model_module.cover_problem_blocks(clf, X))
     rows = [i for i, p in enumerate(problems) if p is not None and p.label is Label.REJECT]
     m, block = clf.model, problems.block
     found = rejected.root_block(block[rows, 0], block[rows, 1], m.top, m.bottom, clf.t_plus, clf.t_minus)
-    roots = [(problems[i], root) for i, root in zip(rows, found) if isinstance(root, rejected.SearchRoot)]
-    for k, (problem, root) in enumerate(roots):
-        yield problem, root.checked([problem.holds(pinned) for pinned in root.pinned]) if k % 2 else root
+    for i, root in zip(rows, found):
+        if isinstance(root, rejected.SearchRoot):
+            yield problems[i], root
 
 
 @pytest.mark.parametrize("node_limit", [0, 1, 7, rejected.DEFAULT_NODE_LIMIT])
@@ -332,49 +330,18 @@ def test_block_tables_are_the_first_tail_sums():
     assert tables >= 100 and short >= 100, (tables, short)
 
 
-def test_settle_keeps_only_the_fills_that_hold(monkeypatch):
-    # The block's one check drops a root's fill whose pinned set fails
-    # CoverProblem.holds: here each root's first fill pins nothing, which no
-    # rejected row's need allows, so only its second fill is left.
-    clf, X = _rows(1, 24, 400, 0.5, zero_every=7)
-    problems = next(model_module.cover_problem_blocks(clf, X))
-    broken = {}
-
-    def first_fill_pins_nothing(*args):
-        found = root_block(*args)
-        for k, root in enumerate(found):
-            if isinstance(root, rejected.SearchRoot):
-                found[k] = dataclasses.replace(root, pinned=[np.empty(0, np.intp), root.pinned[1]])
-                broken[id(root.order)] = root
-        return found
-
-    root_block = explain.root_block
-    monkeypatch.setattr(explain, "root_block", first_fill_pins_nothing)
-    live = [i for i, label in enumerate(problems.labels) if label is not None]
-    kept = 0
-    for k, root in enumerate(explain._settle(problems, live, ("minabro",))[0]):
-        if isinstance(root, rejected.SearchRoot):
-            own = broken[id(root.order)]
-            assert problems[live[k]].holds(own.pinned[1])
-            assert root.fills == [own.fills[1]] and root.pinned is None
-            kept += 1
-    assert kept >= 20
-
-
 def test_search_takes_no_unchecked_fill_that_fails():
-    # A root not yet checked whose first fill frees every feature, which no
-    # rejected row's need allows: the search checks it, drops it and finds
-    # what it finds alone.
+    # A root whose first fill, or both fills, free every feature, which no
+    # rejected row's need allows: the search checks them, drops them and
+    # finds what it finds alone.
     roots = 0
     for problem, root in _search_roots(*_rows(1, 24, 400, 0.5, zero_every=7)):
-        if root.pinned is None:
-            continue
-        everything = list(range(root.order.size))
+        everything = np.arange(root.order.size)
         alone = rejected.solve_rejection_ilp(problem)
-        broken = dataclasses.replace(root, fills=[everything, root.fills[1]])
-        broken = rejected.solve_rejection_ilp(problem, root=broken)
-        assert problem.holds(broken.selected)
-        assert (broken.objective, broken.optimal) == (alone.objective, alone.optimal)
+        for fills in ([everything, root.fills[1]], [everything, everything]):
+            broken = rejected.solve_rejection_ilp(problem, root=dataclasses.replace(root, fills=fills))
+            assert problem.holds(broken.selected)
+            assert (broken.objective, broken.optimal) == (alone.objective, alone.optimal)
         roots += 1
     assert roots >= 8
 

@@ -924,9 +924,10 @@ class TestExitCodes:
         assert cli.main(["verify", "--cases", "10", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED
         assert "FAILED" in capsys.readouterr().err
 
-    def test_verify_data_flags_an_injected_block_greedy_bug(self, tmp_path, monkeypatch, capsys):
-        # negative control: verify --data checks what explain writes, and the
-        # block step writes the whole-block greedy's sets for a block this big
+    @staticmethod
+    def _block_rows(tmp_path):
+        """``verify --data`` over 60 rows of 10 features, one block for the
+        block step: 42 classified rows and 18 rejected."""
         rng = np.random.default_rng(12)
         model = LinearModel(rng.normal(size=10), 0.0, unit_box(10))
         X = rng.random((60, 10))
@@ -934,7 +935,12 @@ class TestExitCodes:
         model_path, data = tmp_path / "model.json", tmp_path / "rows.csv"
         save_model(ModelBundle(model, t_minus, t_plus), model_path)
         write_csv(data, X, np.ones(60, dtype=int))
-        argv = ["verify", "--model", str(model_path), "--data", str(data)]
+        return ["verify", "--model", str(model_path), "--data", str(data)]
+
+    def test_verify_data_flags_an_injected_block_greedy_bug(self, tmp_path, monkeypatch, capsys):
+        # negative control: verify --data checks what explain writes, and the
+        # block step writes the whole-block greedy's sets for a block this big
+        argv = self._block_rows(tmp_path)
         assert cli.main(argv) == 0
         real = explain_module.greedy_block
 
@@ -949,6 +955,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         # every accepted row is padded, no rejected row is touched
         assert "FAILED" in err and out.startswith("0/42 classified, 18/18 rejected"), out
+
+    def test_verify_data_flags_an_injected_block_root_bug(self, tmp_path, monkeypatch, capsys):
+        # negative control: the block step writes the rejection kernel's sets
+        # for the rejected rows it settles without a search (14 of these 18)
+        argv = self._block_rows(tmp_path)
+        assert cli.main(argv) == 0
+        real = explain_module.root_block
+        padded_rows = []
+
+        def padded(gain_up, *args):
+            found = real(gain_up, *args)
+            for k, idx in enumerate(found):
+                if idx.__class__ is np.ndarray and idx.size < gain_up.shape[1]:
+                    found[k] = np.union1d(idx, np.setdiff1d(np.arange(gain_up.shape[1]), idx)[:1])
+                    padded_rows.append(k)
+            return found
+
+        monkeypatch.setattr(explain_module, "root_block", padded)
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        # every padded row disagrees, every other row is untouched
+        assert "FAILED" in err and out.startswith(f"42/42 classified, {18 - len(padded_rows)}/18 rejected"), out
+        assert len(padded_rows) == 14
 
     def test_verify_flags_an_injected_solver_bug(self, monkeypatch, capsys):
         # negative control: a solver that pads its selection yet claims optimality

@@ -70,11 +70,17 @@ def import_checkout(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def _inputs(workload: str, seed: int, rows: int | None, out_dir: Path):
-    """The workload's model and CSV for ``seed``, made by this tree's perfbench."""
+def load_workloads():
+    """This tree's ``perfbench/workloads`` module, which builds with this tree's program."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
+    return workloads
+
+
+def _inputs(workload: str, seed: int, rows: int | None, out_dir: Path):
+    """The workload's model and CSV for ``seed``, made by this tree's perfbench."""
+    workloads = load_workloads()
     if workload not in workloads.SPECS:
         raise SystemExit(f"error: unknown workload {workload!r}; one of {', '.join(workloads.NAMES)}")
     return workloads.build(workload, seed, out_dir, n_rows=rows)
